@@ -26,6 +26,7 @@ from .sparsepoly import (
 )
 from .feasibility import (
     FeasibilityReport,
+    classify_positive,
     feas_circuit,
     feas_real_full,
     feas_simplex,

@@ -20,14 +20,7 @@ from .discriminant import (
     adisc_vanish,
 )
 from .errors import SparseFeasError
-from .feasibility import (
-    FeasibilityReport,
-    feas_real_full,
-    feas_simplex,
-    topology_report,
-    _positive_classification,
-    _NONEMPTY_TAGS,
-)
+from .feasibility import EMPTY, classify_positive, feas_real_full, topology_report
 from .geometry import find_circuit
 from .oracle import exact_product_compare, grid_scan, sturm_count
 from .reductions import PolySystem, Sat3Formula, sat3_to_system, shor_normal_form, sos_aggregate
@@ -86,8 +79,8 @@ def _cmd_parse(args) -> int:
 def _cmd_feas(args) -> int:
     f = _load_poly(args)
     if args.set == "positive":
-        cls, cert = _positive_classification(f)
-        verdict = "nonempty" if cls in _NONEMPTY_TAGS else "empty"
+        cls, cert = classify_positive(f)
+        verdict = "empty" if cls == EMPTY else "nonempty"
         payload = {
             "set": "positive",
             "verdict": verdict,
@@ -111,12 +104,19 @@ def _parse_points(text: str):
     if len(chunks) == 1:
         vals = [int(v) for v in text.split(",")]
         return PointSet(tuple((v,) for v in vals))
-    return PointSet(tuple(tuple(int(v) for v in c.split(",")) for c in chunks))
+    pts = tuple(tuple(int(v) for v in c.split(",")) for c in chunks)
+    if len({len(p) for p in pts}) != 1:
+        raise SparseFeasError("support points have mixed dimensions")
+    return PointSet(pts)
 
 
 def _cmd_disc(args) -> int:
     pts = _parse_points(args.support)
     coeffs = tuple(int(v) for v in args.coeffs.split(","))
+    if len(coeffs) != len(pts):
+        raise SparseFeasError(
+            f"{len(coeffs)} coefficients for {len(pts)} support points"
+        )
     located = find_circuit(pts)
     if located is None or len(located[0].points) != len(pts):
         raise SparseFeasError("support is not a circuit")
@@ -269,9 +269,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# the options that take no value; every other option takes exactly one
+_FLAGS = ("--help", "--brute-force")
+
+
+def _bind_dash_values(argv):
+    """Rewrite ``--opt -v`` as ``--opt=-v``: argparse would read a value
+    such as ``-3,28,-12`` or ``-1/2`` as an option and fail."""
+    out = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        takes_value = prev.startswith("--") and "=" not in prev and prev not in _FLAGS
+        if takes_value and tok.startswith("-") and not tok.startswith("--"):
+            out[-1] = f"{prev}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def run(argv) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(_bind_dash_values(argv))
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
     try:
@@ -286,3 +304,7 @@ def run(argv) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

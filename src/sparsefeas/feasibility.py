@@ -21,7 +21,12 @@ from itertools import product
 from typing import Optional
 
 from .errors import PreconditionError
-from .discriminant import CircuitDiscriminant, adisc_sign, adisc_vanish, degenerate_point
+from .discriminant import (
+    CircuitDiscriminant,
+    DegeneratePoint,
+    adisc_sign,
+    degenerate_point,
+)
 from .geometry import (
     affine_dim,
     caged_alternation,
@@ -30,11 +35,10 @@ from .geometry import (
     initial_form,
     interior_point,
 )
-from .intlattice import hermite_factor
+from .intlattice import hermite_factor, integer_kernel
 from .sparsepoly import (
     PointSet,
     SparsePolynomial,
-    evaluate,
     make_polynomial,
     support,
 )
@@ -45,14 +49,6 @@ SINGULAR_POINT = "SINGULAR_POINT"
 COMPACT_SPHERE = "COMPACT_SPHERE"
 ALL_NONCOMPACT = "ALL_NONCOMPACT"
 NONEMPTY_UNCLASSIFIED = "NONEMPTY_UNCLASSIFIED"
-
-_NONEMPTY_TAGS = {
-    POINT_MULT_1,
-    SINGULAR_POINT,
-    COMPACT_SPHERE,
-    ALL_NONCOMPACT,
-    NONEMPTY_UNCLASSIFIED,
-}
 
 
 @dataclass(frozen=True)
@@ -79,58 +75,23 @@ def _translated_exponents(f: SparsePolynomial):
     return [tuple(e - b for e, b in zip(t.exponents, base)) for t in f.terms]
 
 
-def _solve_uniform_direction(diffs):
-    """A rational w with w . d == 1 for every d in the linearly independent
-    list diffs, scaled to an integer vector with uniform positive value."""
-    n = len(diffs[0])
-    rows = [[Fraction(v) for v in d] + [Fraction(1)] for d in diffs]
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                fac = rows[i][col]
-                rows[i] = [a - fac * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    w = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        w[col] = rows[i][n]
-    denom = 1
-    for v in w:
-        denom = denom * v.denominator // _gcd(denom, v.denominator)
-    wi = [int(v * denom) for v in w]
-    return wi, denom
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _dominant_point(f: SparsePolynomial, j: int):
     """A rational point in the positive orthant where term j dominates, so
-    that sign f(x) = sign c_j.  Requires affinely independent support."""
-    exps = _translated_exponents(f)
-    diffs = [
-        [e - ej for e, ej in zip(exps[i], exps[j])]
-        for i in range(len(exps))
+    that sign f(x) = sign c_j.  Requires affinely independent support and
+    at least two terms."""
+    ej = f.terms[j].exponents
+    rows = [
+        [e - e0 for e, e0 in zip(t.exponents, ej)] + [-1]
+        for i, t in enumerate(f.terms)
         if i != j
     ]
-    if not diffs:
-        return tuple([Fraction(1)] * f.n)
-    w, _ = _solve_uniform_direction(diffs)
+    # a kernel vector (w, s) with s != 0 gives w . (a_i - a_j) = s for all
+    # i != j; one exists because the differences are linearly independent
+    *w, s = next(v for v in integer_kernel(rows) if v[-1] != 0)
+    if s < 0:
+        w = [-wk for wk in w]
     t = Fraction(1, 1 + sum(abs(term.coefficient) for term in f.terms))
-    return tuple(Fraction(t) ** wk for wk in w)
+    return tuple(t ** wk for wk in w)
 
 
 def _sign_change_pair(f: SparsePolynomial):
@@ -233,9 +194,34 @@ def _pull_back_point(point, U, n):
     return tuple(out)
 
 
-def _positive_classification(f: SparsePolynomial):
+def _lift(U, v):
+    """U^T (v, 0, ..., 0): an exponent-space vector of the reduced instance
+    (a weight, or the log-coordinates of a point) pulled back through U."""
+    return [sum(U[i][j] * vi for i, vi in enumerate(v)) for j in range(len(U))]
+
+
+def _pull_back(cert, U, n):
+    """Map a circuit certificate of the reduced instance back to Z_+(f)."""
+    if isinstance(cert, DegeneratePoint):
+        cols = [_lift(U, col) for col in zip(*cert.mixing)]
+        mixing = tuple(tuple(col[j] for col in cols) for j in range(n))
+        coords = cert.coordinates
+        if coords is not None:
+            coords = _pull_back_point(coords, U, n)
+        return DegeneratePoint(cert.rhos, cert.orders, mixing, coords)
+    if isinstance(cert, dict):
+        return {"facet_normal": _lift(U, cert["facet_normal"])}
+    return cert
+
+
+def classify_positive(f: SparsePolynomial):
     """(classification, certificate) for Z_+(f), dispatching on the support
-    shape and reducing to full dimension first when needed."""
+    shape: a simplex goes to feas_simplex, a circuit to feas_circuit.
+
+    A circuit support of affine dimension d < n is first reduced to d
+    variables.  Z_+(f) is then Z_+(g) x R_+^(n-d), so every nonempty
+    class becomes ALL_NONCOMPACT, and the certificate is pulled back.
+    """
     A = support(f)
     d = affine_dim(A)
     if len(A) > d + 2:
@@ -245,10 +231,9 @@ def _positive_classification(f: SparsePolynomial):
         return rep.classification, rep.certificate
     if d < f.n:
         g, U = reduce_dimension(f)
-        cls, cert = _positive_classification(g)
-        if isinstance(cert, tuple) and cert and isinstance(cert[0], Fraction):
-            cert = _pull_back_point(cert, U, f.n)
-        return cls, cert
+        rep = feas_circuit(g)
+        cls = EMPTY if rep.classification == EMPTY else ALL_NONCOMPACT
+        return cls, _pull_back(rep.certificate, U, f.n)
     rep = feas_circuit(f)
     return rep.classification, rep.certificate
 
@@ -272,14 +257,13 @@ def feas_circuit(f: SparsePolynomial) -> FeasibilityReport:
     coeffs = [t.coefficient for t in f.terms]
     pts = PointSet(tuple(exps))
 
-    # Step 1: a facet whose initial form already has a positive root
+    # Step 1: a facet whose initial form already has a positive root.  A
+    # facet spans dimension n - 1, so a face of n terms is a simplex, and
+    # a simplex has a positive root iff its coefficient signs are mixed.
     if n >= 2:
         for w in facet_normals(pts, n):
-            face = initial_form(f, list(w))
-            fa = support(face)
-            if len(fa) != affine_dim(fa) + 1:
-                continue
-            if feas_simplex(face).positive_orthant == "nonempty":
+            face = [t.coefficient for t in initial_form(f, w).terms]
+            if len(face) == n and min(face) < 0 < max(face):
                 return FeasibilityReport(
                     "nonempty", None, None, ALL_NONCOMPACT, {"facet_normal": list(w)}
                 )
@@ -288,11 +272,12 @@ def feas_circuit(f: SparsePolynomial) -> FeasibilityReport:
     assert located is not None
     C, idx = located
 
-    # Step 2: degenerate circuit -> recurse on the circuit terms alone
+    # Step 2: degenerate circuit -> classify the circuit terms alone, in
+    # the dimension they span
     if len(C.points) < len(pts):
         if interior_point(C) is not None:
             h = make_polynomial(n, [(exps[i], coeffs[i]) for i in idx])
-            cls, _ = _positive_classification(h)
+            cls = feas_circuit(reduce_dimension(h)[0]).classification
             if cls in (ALL_NONCOMPACT, COMPACT_SPHERE, NONEMPTY_UNCLASSIFIED):
                 return FeasibilityReport(
                     "nonempty", None, None, NONEMPTY_UNCLASSIFIED
@@ -316,13 +301,14 @@ def feas_circuit(f: SparsePolynomial) -> FeasibilityReport:
             if any(signs[j] < 0 for j in range(len(idx)) if j != ip):
                 ccoeffs = [-c for c in ccoeffs]
             D = CircuitDiscriminant(C, tuple(ccoeffs))
-            if adisc_vanish(D):
+            sign = adisc_sign(D)
+            if sign == 0:
                 dp = degenerate_point(D)
                 return FeasibilityReport(
                     "nonempty", None, None, SINGULAR_POINT, dp
                 )
             target = 1 if C.relation[ip] % 2 == 0 else -1
-            if adisc_sign(D) == target:
+            if sign == target:
                 return FeasibilityReport(
                     "nonempty", None, None, COMPACT_SPHERE
                 )
@@ -358,11 +344,6 @@ def _restricted_instance(f: SparsePolynomial, pattern):
     return g, keep
 
 
-def _positive_nonempty(f: SparsePolynomial) -> bool:
-    cls, _ = _positive_classification(f)
-    return cls in _NONEMPTY_TAGS
-
-
 def feas_real_full(f: SparsePolynomial) -> FeasibilityReport:
     """Decide Z_+, Z*, and Z_R by dispatching over all sign/zero patterns.
 
@@ -373,13 +354,6 @@ def feas_real_full(f: SparsePolynomial) -> FeasibilityReport:
     if f.is_laurent:
         raise PreconditionError("real-set dispatch requires polynomial exponents")
     cache: dict = {}
-
-    def solve(g: SparsePolynomial) -> bool:
-        key = (g.n, g.terms)
-        if key not in cache:
-            cache[key] = _positive_nonempty(g)
-        return cache[key]
-
     positive = None
     nonzero = "empty"
     real = "empty"
@@ -388,23 +362,18 @@ def feas_real_full(f: SparsePolynomial) -> FeasibilityReport:
     for pattern in product((1, -1, 0), repeat=f.n):
         g, keep = _restricted_instance(f, pattern)
         if g is None:
-            hit = True
+            cls, cert = NONEMPTY_UNCLASSIFIED, None
         elif not keep:
-            hit = False  # nonzero constant at the origin
+            cls, cert = EMPTY, None  # nonzero constant at the origin
         else:
-            A = support(g)
-            if len(A) > affine_dim(A) + 2:
-                raise PreconditionError(
-                    "restriction leaves more than dim + 2 terms"
-                )
-            hit = solve(g)
+            key = (g.n, g.terms)
+            if key not in cache:
+                cache[key] = classify_positive(g)
+            cls, cert = cache[key]
         if all(e == 1 for e in pattern):
-            positive = "nonempty" if hit else "empty"
-            if g is not None:
-                pos_cls, pos_cert = _positive_classification(g)
-            elif hit:
-                pos_cls = NONEMPTY_UNCLASSIFIED
-        if hit:
+            positive = "empty" if cls == EMPTY else "nonempty"
+            pos_cls, pos_cert = cls, cert
+        if cls != EMPTY:
             real = "nonempty"
             if all(e != 0 for e in pattern):
                 nonzero = "nonempty"
@@ -425,7 +394,7 @@ def topology_report(f: SparsePolynomial) -> dict:
     n = f.n
     A = support(f)
     d = affine_dim(A)
-    cls, cert = _positive_classification(f)
+    cls, cert = classify_positive(f)
     bounds = {
         "N_comp": 1,
         "N_non": _NON_BOUNDS.get(n, 2 * n + 2),
@@ -443,8 +412,6 @@ def topology_report(f: SparsePolynomial) -> dict:
         SINGULAR_POINT: 1,
         COMPACT_SPHERE: 1,
     }[cls]
-    if not meets_interior and n_comp == 1 and cls == COMPACT_SPHERE:
-        n_comp = 0  # unreachable by construction; kept for clarity
     report = {
         "n": n,
         "classification": cls,

@@ -1,5 +1,5 @@
 """Exact integer matrix algebra: determinants, Hermite and Smith forms,
-kernels, and unimodular monomial substitutions.
+kernels and ranks.
 
 Everything here is fraction-free: Bareiss elimination for determinants and
 extended-gcd row operations for the normal forms, so intermediate entries
@@ -256,16 +256,3 @@ def rank(M) -> int:
     H, _ = hermite_factor(M)
     return sum(1 for row in H if any(v != 0 for v in row))
 
-
-def monomial_substitute(points, U):
-    """Apply the monomial change of variables x := y^U to a support.
-
-    Each exponent vector a maps to U @ a.  Returns the new list of points
-    in the same order.
-    """
-    n = len(U)
-    out = []
-    for a in points:
-        assert len(a) == n
-        out.append(tuple(sum(U[i][j] * a[j] for j in range(n)) for i in range(n)))
-    return out

@@ -1,10 +1,17 @@
 """End-to-end tests of the command line interface."""
 
+import ast
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from sparsefeas.cli import run
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _run(capsys, *argv):
@@ -79,6 +86,25 @@ def test_disc_sign_bivariate(capsys):
     )
     assert code == 0
     assert payload["sign"] in (-1, 1)
+
+
+def test_disc_negative_coeffs(capsys):
+    expected = _run(
+        capsys, "disc", "sign", "--support", "0;1;2", "--coeffs=-3,28,-12"
+    )
+    assert expected[0] == 0
+    got = _run(capsys, "disc", "sign", "--support", "0;1;2", "--coeffs", "-3,28,-12")
+    assert got == expected
+
+
+@pytest.mark.parametrize(
+    "support, coeffs", [("0;1;2", "1,-2"), ("0,1;2;3", "1,-2,1")]
+)
+def test_disc_malformed_input(capsys, support, coeffs):
+    code = run(["disc", "sign", "--support", support, "--coeffs", coeffs])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_topology(capsys):
@@ -156,6 +182,24 @@ def test_oracle_sturm(capsys):
     assert payload["count"] == 2
 
 
+def test_oracle_sturm_negative_bound(capsys):
+    code, payload = _run(
+        capsys, "oracle", "sturm", "--expr", "4*x1 + 1", "--lower", "-1/2",
+        "--upper", "0",
+    )
+    assert code == 0
+    assert payload["count"] == 1
+
+
+def test_oracle_grid_negative_box(capsys):
+    code, payload = _run(
+        capsys, "oracle", "grid", "--expr", "x1 + x2 + 1",
+        "--box", "-1,1;-1,1", "--resolution", "1/2",
+    )
+    assert code == 0
+    assert payload["certificate"] is not None
+
+
 def test_oracle_grid(capsys):
     code, payload = _run(
         capsys, "oracle", "grid", "--expr", "x1*x2 - x1 - x2 + 1",
@@ -176,3 +220,28 @@ def test_oracle_product(capsys):
 
 def test_missing_file_exit_code():
     assert run(["feas", "--set", "positive", "--file", "/nonexistent.json"]) == 1
+
+
+def test_module_entry_point():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "sparsefeas.cli", "parse", "--expr", "x1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["text"] == "x1"
+
+
+def test_cli_imports_no_private_names():
+    tree = ast.parse((SRC / "sparsefeas" / "cli.py").read_text())
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -11,14 +11,17 @@ from sparsefeas.feasibility import (
     ALL_NONCOMPACT,
     COMPACT_SPHERE,
     EMPTY,
+    NONEMPTY_UNCLASSIFIED,
     POINT_MULT_1,
     SINGULAR_POINT,
+    classify_positive,
     feas_circuit,
     feas_real_full,
     feas_simplex,
     reduce_dimension,
     topology_report,
 )
+from sparsefeas.geometry import initial_form
 from sparsefeas.oracle import grid_scan, multiple_root_count, sturm_count
 from sparsefeas.sparsepoly import evaluate, make_polynomial, parse
 
@@ -128,6 +131,63 @@ def test_circuit_univariate_matches_sturm():
         r = feas_circuit(f)
         count = sturm_count(f, 0, None)
         assert (count > 0) == (r.classification in tags_nonempty)
+
+
+def test_circuit_degenerate_pyramid():
+    # (x1 - 1)^2 + x2 only touches zero on the x1-axis; x1^2 - 3*x1 + 1
+    # changes sign there, so the pyramid over it has positive roots
+    assert feas_circuit(parse("1 - 2*x1 + x1^2 + x2")).classification == EMPTY
+    cls = feas_circuit(parse("1 - 3*x1 + x1^2 + x2")).classification
+    assert cls == NONEMPTY_UNCLASSIFIED
+
+
+@pytest.mark.parametrize(
+    "text", ["x1^2*x2^2 - 2*x1*x2 + 1", "x1^2*x2^2 - 4*x1*x2 + 4"]
+)
+def test_lower_dimensional_singular_is_noncompact(text):
+    # (x1*x2 - c)^2 vanishes on a hyperbola, not at a point
+    f = parse(text)
+    cls, cert = classify_positive(f)
+    assert cls == ALL_NONCOMPACT
+    assert len(cert.coordinates) == 2
+    assert evaluate(f, cert.coordinates) == 0
+
+
+def test_lower_dimensional_irrational_point_pulled_back():
+    # (x1^2*x2^2 - 2)^2: the singular points have x1*x2 = 2^(1/2), so only
+    # rho, orders and the pulled-back mixing describe one
+    f = parse("x1^4*x2^4 - 4*x1^2*x2^2 + 4")
+    cls, cert = classify_positive(f)
+    assert cls == ALL_NONCOMPACT
+    assert cert.coordinates is None
+    (rho,), (order,) = cert.rhos, cert.orders
+    total = 0
+    for t in f.terms:
+        # x^a = rho^(a . mixing / order), rational on this support
+        weight = sum(a * row[0] for a, row in zip(t.exponents, cert.mixing))
+        e, r = divmod(weight, order)
+        assert r == 0
+        total += t.coefficient * rho ** e
+    assert total == 0
+
+
+def test_lower_dimensional_facet_normal_pulled_back():
+    # the support spans a plane in Z^3; the reduced instance is settled by
+    # a facet, whose normal must select a sign-changing face of f itself
+    f = parse("2 + 2*x2^2*x3^4 - x2^3*x3^4 - x2^4*x3^6")
+    cls, cert = classify_positive(f)
+    assert cls == ALL_NONCOMPACT
+    face = initial_form(f, cert["facet_normal"])
+    coeffs = [t.coefficient for t in face.terms]
+    assert len(coeffs) == 2 and min(coeffs) < 0 < max(coeffs)
+
+
+def test_lower_dimensional_sphere_is_noncompact():
+    f = parse("x1^2*x2^2 - 3*x1*x2 + 1")
+    assert classify_positive(f)[0] == ALL_NONCOMPACT
+    rep = topology_report(f)
+    assert rep["classification"] == ALL_NONCOMPACT
+    assert rep["N_comp"] == 0
 
 
 def test_real_full_even_powers_positive():

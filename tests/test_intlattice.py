@@ -8,7 +8,6 @@ from sparsefeas.intlattice import (
     identity,
     integer_kernel,
     mat_mul,
-    monomial_substitute,
     primitive_vector,
     rank,
     smith_factor,
@@ -132,7 +131,3 @@ def test_primitive_vector():
     assert primitive_vector([4, -6, 8]) == [2, -3, 4]
     assert primitive_vector([0, 0, 5]) == [0, 0, 1]
 
-
-def test_monomial_substitute_identity():
-    exps = [(1, 2), (3, 0)]
-    assert monomial_substitute(exps, identity(2)) == [(1, 2), (3, 0)]
