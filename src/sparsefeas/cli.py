@@ -80,12 +80,14 @@ def _cmd_feas(args) -> int:
     f = _load_poly(args)
     if args.set == "positive":
         cls, cert = classify_positive(f)
-        verdict = "empty" if cls == EMPTY else "nonempty"
+        # an EMPTY class may carry a sign-change pair outside the positive
+        # orthant, which certifies nothing about this set
+        empty = cls == EMPTY
         payload = {
             "set": "positive",
-            "verdict": verdict,
+            "verdict": "empty" if empty else "nonempty",
             "classification": cls,
-            "witness": _serialize(cert),
+            "witness": None if empty else _serialize(cert),
         }
     else:
         rep = feas_real_full(f)

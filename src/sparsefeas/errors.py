@@ -34,4 +34,20 @@ class ScaleLimitError(SparseFeasError):
 
 
 class PrecisionLimitError(SparseFeasError):
-    """Adaptive precision exceeded FEWNO_MAX_BITS without reaching a verdict."""
+    """Adaptive precision exceeded FEWNO_MAX_BITS without reaching a verdict.
+
+    ``bits`` is the last precision tried; ``gap`` is the width of the last
+    overlap of the two log enclosures, as a ``Fraction``.
+    """
+
+    def __init__(self, bits: int, gap):
+        # a power-of-two bound: the exact gap can have ~bits digits
+        size = "0"
+        if gap:
+            size = f"less than 2^{gap.numerator.bit_length() - gap.denominator.bit_length() + 1}"
+        super().__init__(
+            f"sign undecided at {bits} bits: the log enclosures still overlap"
+            f" by {size}; raise FEWNO_MAX_BITS"
+        )
+        self.bits = bits
+        self.gap = gap

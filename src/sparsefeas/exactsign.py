@@ -10,6 +10,23 @@ Equality is decided combinatorially through a gcd-free basis; strict
 inequality through interval enclosures of logarithms at adaptively
 doubled precision.  Refinement terminates because two unequal products
 of integers cannot have arbitrarily close logarithms.
+
+Logarithms are computed in integer fixed point (Brent, J. ACM 1976).
+With 2^k <= n < 2^(k+1) and z = (n - 2^k)/(n + 2^k) in [0, 1/3),
+
+    ln n = 2k * atanh(1/3) + 2 * atanh(z).
+
+Each atanh series runs on a Python int scaled by 2^guard: for z = p/q the
+power starts at floor(p * 2^guard / q) and steps to
+floor(power * p^2 / q^2).  Every truncation rounds down, so the series
+sum is a lower bound, and the error is counted in ulps (units of
+2^-guard): each truncation of the power adds at most 1 ulp, each term at
+most 2, and the geometric tail after the last nonzero power (at most 9/8
+of the next power) at most 2 more.  A series of t terms is thus exact to
+2t + 2 ulps; ``log_interval`` scales that by at most 2k + 2 and chooses
+guard so the total radius stays <= 2^-bits.  The atanh(1/3) enclosure is
+computed once per guard and cached.  Sums of logs are compared as exact
+integers at the finest dyadic scale of their enclosures.
 """
 
 from __future__ import annotations
@@ -133,37 +150,49 @@ def binomial_vanish(alphas, betas, us, vs) -> bool:
     return left == right
 
 
-def _atanh_enclosure(z: Fraction, prec: int):
-    """(midpoint, radius) enclosure of atanh(z) for 0 <= z <= 1/3,
-    radius <= 2^-prec."""
-    if z == 0:
-        return Fraction(0), Fraction(0)
-    guard = prec + prec.bit_length() + 6
-    scale = 1 << guard
-    tol = Fraction(1, 1 << (prec + 2))
-    zz = z * z
-    power = z
-    total = Fraction(0)
-    k = 0
-    rounding = Fraction(0)
-    while True:
-        term = power / (2 * k + 1)
-        q = Fraction(round(term * scale), scale)
-        total += q
-        rounding += Fraction(1, 2 * scale)
-        # geometric tail bound: remaining sum <= next power * 9/8 for z <= 1/3
-        tail = power * zz * Fraction(9, 8)
-        if tail <= tol:
-            return total, tail + rounding
-        power *= zz
-        k += 1
+def _atanh_fixed(p: int, q: int, guard: int):
+    """atanh(p/q) for 0 <= p/q <= 1/3 in fixed point: ``(low, width)`` with
+    low <= atanh(p/q) * 2^guard <= low + width.
+
+    Every truncation rounds down, so the partial sum never overshoots.
+    The power z^(2j+1) * 2^guard loses less than 1 ulp per step, and the
+    error it carries shrinks by z^2 <= 1/9, so it stays below 9/8 ulp; a
+    term power // (2j+1) therefore loses less than 2 ulps.  The series
+    stops at the first power that truncates to 0.  That power is below
+    9/8 ulp, and the geometric tail bound (the rest of the series is at
+    most 9/8 of the next power) puts the tail below 2 ulps.
+    """
+    if p == 0:
+        return 0, 0
+    pp, qq = p * p, q * q
+    power = (p << guard) // q
+    low = 0
+    terms = 0
+    while power:
+        low += power // (2 * terms + 1)
+        terms += 1
+        power = power * pp // qq
+    return low, 2 * terms + 2
+
+
+_ATANH_THIRD: dict = {}  # guard -> _atanh_fixed(1, 3, guard); ln 2 = 2 atanh(1/3)
+
+
+def _atanh_third(guard: int):
+    hit = _ATANH_THIRD.get(guard)
+    if hit is None:
+        hit = _ATANH_THIRD[guard] = _atanh_fixed(1, 3, guard)
+    return hit
 
 
 def log_interval(n: int, bits: int) -> LogInterval:
     """A rigorous dyadic enclosure of ln(n) with radius <= 2^-bits.
 
     Argument reduction: with 2^k <= n < 2^(k+1) and z = (n-2^k)/(n+2^k),
-    ln n = 2k*atanh(1/3) + 2*atanh(z), where z lies in [0, 1/3).
+    ln n = 2k*atanh(1/3) + 2*atanh(z), where z lies in [0, 1/3).  Both
+    series run in fixed point with ``guard`` fractional bits; the guard
+    bits beyond ``bits`` absorb the factor 2k + 2 and the 2t + 2 ulps of a
+    t-term series (t <= guard / 3).
     """
     if n < 1:
         raise PreconditionError("log_interval requires n >= 1")
@@ -172,17 +201,17 @@ def log_interval(n: int, bits: int) -> LogInterval:
     if n == 1:
         return LogInterval(Fraction(0), Fraction(1, 1 << (bits + 1)), bits)
     k = n.bit_length() - 1
-    inner = bits + 2 * k.bit_length() + 6
-    z = Fraction(n - (1 << k), n + (1 << k))
-    ln2_mid, ln2_rad = _atanh_enclosure(Fraction(1, 3), inner)
-    z_mid, z_rad = _atanh_enclosure(z, inner)
-    mid = 2 * k * ln2_mid + 2 * z_mid
-    rad = 2 * k * ln2_rad + 2 * z_rad
-    scale = 1 << (bits + 3)
-    rounded = Fraction(round(mid * scale), scale)
-    rad += abs(rounded - mid) + Fraction(1, scale)
-    assert rad <= Fraction(1, 1 << bits)
-    return LogInterval(rounded, rad, bits)
+    extra = k.bit_length() + (bits + k.bit_length()).bit_length() + 4
+    guard = bits + extra
+    ln2_low, ln2_width = _atanh_third(guard)
+    z_low, z_width = _atanh_fixed(n - (1 << k), n + (1 << k), guard)
+    low = 2 * k * ln2_low + 2 * z_low
+    width = 2 * k * ln2_width + 2 * z_width
+    # ln n lies in [low, low + width] * 2^-guard; the radius is
+    # width / 2^(guard+1), and it must not exceed 2^-bits
+    assert width <= 1 << (extra + 1)
+    scale = 1 << (guard + 1)
+    return LogInterval(Fraction(2 * low + width, scale), Fraction(width, scale), bits)
 
 
 _LOG_CACHE: dict = {}
@@ -198,15 +227,32 @@ def _cached_log(n, bits):
     return li
 
 
-def _log_sum_enclosure(bases, exps, bits):
-    mid = Fraction(0)
-    rad = Fraction(0)
-    for base, exp in zip(bases, exps):
-        if exp == 0 or base == 1:
-            continue
-        li = _cached_log(base, bits)
-        mid += exp * li.value
-        rad += exp * li.radius
+def _max_bits() -> int:
+    text = os.environ.get(_MAX_BITS_ENV)
+    if text is None:
+        return _DEFAULT_MAX_BITS
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise PreconditionError(f"{_MAX_BITS_ENV} must be an integer >= 1, got {text!r}")
+    return value
+
+
+def _log_terms(bases, exps, bits):
+    return [(exp, _cached_log(base, bits)) for base, exp in zip(bases, exps) if exp and base != 1]
+
+
+def _scaled(x: Fraction, scale: int) -> int:
+    """x * 2^scale for a dyadic x whose denominator divides 2^scale."""
+    return x.numerator << (scale + 1 - x.denominator.bit_length())
+
+
+def _fixed_sum(terms, scale):
+    """(mid, rad) of sum exp * ln(base) in exact units of 2^-scale."""
+    mid = sum(exp * _scaled(li.value, scale) for exp, li in terms)
+    rad = sum(exp * _scaled(li.radius, scale) for exp, li in terms)
     return mid, rad
 
 
@@ -220,12 +266,19 @@ def binomial_sign(alphas, betas, us, vs) -> int:
     _check_product_lists(alphas, betas, us, vs)
     if any(a < 1 for a in alphas) or any(b < 1 for b in betas):
         raise PreconditionError("binomial_sign requires bases >= 1")
-    max_bits = int(os.environ.get(_MAX_BITS_ENV, _DEFAULT_MAX_BITS))
+    max_bits = _max_bits()
     bits = 32
     checked_equal = False
     while True:
-        lm, lr = _log_sum_enclosure(alphas, us, bits)
-        rm, rr = _log_sum_enclosure(betas, vs, bits)
+        left = _log_terms(alphas, us, bits)
+        right = _log_terms(betas, vs, bits)
+        scale = max(
+            (max(li.value.denominator, li.radius.denominator).bit_length() - 1
+             for _, li in left + right),
+            default=0,
+        )
+        lm, lr = _fixed_sum(left, scale)
+        rm, rr = _fixed_sum(right, scale)
         if lm - lr > rm + rr:
             return 1
         if lm + lr < rm - rr:
@@ -234,8 +287,7 @@ def binomial_sign(alphas, betas, us, vs) -> int:
             if binomial_vanish(alphas, betas, us, vs):
                 return 0
             checked_equal = True
+        if 2 * bits > max_bits:
+            gap = Fraction(min(lm + lr, rm + rr) - max(lm - lr, rm - rr), 1 << scale)
+            raise PrecisionLimitError(bits, gap)
         bits *= 2
-        if bits > max_bits:
-            raise PrecisionLimitError(
-                f"sign undecided at {max_bits} bits; raise {_MAX_BITS_ENV}"
-            )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, prod
 
 from .errors import PreconditionError, ScaleLimitError
 from .sparsepoly import SparsePolynomial, evaluate
@@ -189,30 +189,37 @@ def multiple_root_count(f: SparsePolynomial, lower=None, upper=None) -> int:
 # ---------------------------------------------------------------------------
 
 
+# every point is evaluated exactly and its value kept until the scan ends
+_GRID_MAX_POINTS = 10**5
+
+
 def grid_scan(f: SparsePolynomial, box, resolution):
     """Scan a rational grid for a zero or an adjacent sign change.
 
     box is a list of (lo, hi) pairs per variable; resolution the grid
     step.  Returns {"zero": point} or {"sign_change": (p, q)} on success,
     None when the scan is inconclusive.  Absence is never an emptiness
-    proof.
+    proof.  Grids of more than 10^5 points raise ScaleLimitError before
+    any point is built.
     """
     if len(box) != f.n:
         raise PreconditionError("box dimension mismatch")
     h = Fraction(resolution)
     if h <= 0:
         raise PreconditionError("resolution must be positive")
-    axes = []
+    starts, counts = [], []
     for lo, hi in box:
         lo, hi = Fraction(lo), Fraction(hi)
         if hi < lo:
             raise PreconditionError("empty box")
-        pts = []
-        x = lo
-        while x <= hi:
-            pts.append(x)
-            x += h
-        axes.append(pts)
+        starts.append(lo)
+        counts.append((hi - lo) // h + 1)
+    total = prod(counts)
+    if total > _GRID_MAX_POINTS:
+        raise ScaleLimitError(
+            f"grid of {total} points exceeds the scan guard of {_GRID_MAX_POINTS}"
+        )
+    axes = [[lo + i * h for i in range(count)] for lo, count in zip(starts, counts)]
     values: dict = {}
     for idx in product(*(range(len(a)) for a in axes)):
         point = tuple(axes[k][i] for k, i in enumerate(idx))

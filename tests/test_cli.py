@@ -52,6 +52,15 @@ def test_feas_positive_empty(capsys):
     assert payload["classification"] == "EMPTY"
 
 
+def test_feas_positive_empty_has_no_witness(capsys):
+    # feas_simplex's sign-change pair for this support lies outside the
+    # positive orthant, so it must not be reported as a witness here
+    code, payload = _run(capsys, "feas", "--set", "positive", "--expr", "1 + x1 + x2^2")
+    assert code == 0
+    assert payload["verdict"] == "empty"
+    assert payload["witness"] is None
+
+
 def test_feas_real_verdicts(capsys):
     code, payload = _run(capsys, "feas", "--set", "real", "--expr", "x1^2 - 4")
     assert code == 0
@@ -105,6 +114,15 @@ def test_disc_malformed_input(capsys, support, coeffs):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_disc_sign_malformed_max_bits(capsys, monkeypatch):
+    monkeypatch.setenv("FEWNO_MAX_BITS", "abc")
+    code = run(["disc", "sign", "--support", "0;1;2", "--coeffs", "1,-3,1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "FEWNO_MAX_BITS" in err
 
 
 def test_topology(capsys):
@@ -207,6 +225,16 @@ def test_oracle_grid(capsys):
     )
     assert code == 0
     assert "zero" in payload["certificate"] or "sign_change" in payload["certificate"]
+
+
+def test_oracle_grid_size_guard(capsys):
+    code = run([
+        "oracle", "grid", "--expr", "x1 - x8",
+        "--box", ";".join(["0,100"] * 8), "--resolution", "1",
+    ])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_oracle_product(capsys):

@@ -2,10 +2,13 @@
 
 import math
 import random
+import re
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
+from sparsefeas import exactsign
 from sparsefeas.errors import PrecisionLimitError, PreconditionError
 from sparsefeas.exactsign import (
     binomial_sign,
@@ -13,6 +16,19 @@ from sparsefeas.exactsign import (
     gcd_free_basis,
     log_interval,
 )
+
+LOG_BITS = (1, 8, 32, 64, 128, 256, 1024, 2048)
+
+
+def _log_arguments(seed):
+    """Seeded n up to 2^200: random sizes, powers of two and 2^k +- 1."""
+    rng = random.Random(seed)
+    ns = [1, 2, 3]
+    ns += [rng.randint(2, 2 ** rng.randint(2, 200)) for _ in range(4)]
+    ns += [2 ** rng.randint(1, 200) for _ in range(2)]
+    for k in (rng.randint(2, 200) for _ in range(2)):
+        ns += [2**k - 1, 2**k + 1]
+    return ns
 
 
 def _check_basis(values, basis):
@@ -94,6 +110,55 @@ def test_log_interval_high_precision_consistency():
         assert fine.value + fine.radius <= coarse.value + coarse.radius
 
 
+def test_log_interval_contains_decimal_log():
+    # decimal's ln is correctly rounded to prec digits: the digits of 2^-bits
+    # plus 30; ln n < 10^3 here, so it is off by less than 10^(3 - prec)
+    for n in _log_arguments(11):
+        for bits in LOG_BITS:
+            with localcontext() as ctx:
+                ctx.prec = math.ceil(bits * math.log10(2)) + 30
+                ln = Decimal(n).ln()
+                err = Decimal(10) ** (3 - ctx.prec)
+                lo, hi = Fraction(ln - err), Fraction(ln + err)
+            iv = log_interval(n, bits)
+            assert iv.value - iv.radius <= lo and hi <= iv.value + iv.radius, (n, bits)
+
+
+def test_log_interval_radius_budget():
+    rng = random.Random(12)
+    for n in _log_arguments(12):
+        for bits in LOG_BITS + tuple(rng.randint(1, 3000) for _ in range(4)):
+            iv = log_interval(n, bits)
+            assert iv.bits == bits
+            assert 0 < iv.radius <= Fraction(1, 2**bits)
+
+
+def test_log_interval_refinement_nests():
+    # binomial_sign doubles its precision; each finer interval must lie
+    # inside the coarser one
+    for n in _log_arguments(13):
+        for bits in (32, 64, 128, 256, 1024):
+            coarse = log_interval(n, bits)
+            fine = log_interval(n, 2 * bits)
+            assert coarse.value - coarse.radius <= fine.value - fine.radius, (n, bits)
+            assert fine.value + fine.radius <= coarse.value + coarse.radius, (n, bits)
+
+
+def test_cached_ln2_nests_in_fresh_lower_precision():
+    rng = random.Random(14)
+    for _ in range(40):
+        coarse_guard = rng.randint(2, 2000)
+        fine_guard = coarse_guard + rng.randint(8, 200)
+        cached = exactsign._atanh_third(fine_guard)
+        assert exactsign._atanh_third(fine_guard) is cached
+        assert cached == exactsign._atanh_fixed(1, 3, fine_guard)
+        fine_lo = Fraction(cached[0], 2**fine_guard)
+        fine_hi = Fraction(cached[0] + cached[1], 2**fine_guard)
+        low, width = exactsign._atanh_fixed(1, 3, coarse_guard)
+        assert Fraction(low, 2**coarse_guard) <= fine_lo
+        assert fine_hi <= Fraction(low + width, 2**coarse_guard)
+
+
 def test_binomial_sign_basic():
     assert binomial_sign([2], [3], [2], [1]) == 1  # 4 > 3
     assert binomial_sign([2], [3], [1], [1]) == -1  # 2 < 3
@@ -127,5 +192,26 @@ def test_binomial_sign_precision_limit(monkeypatch):
     assert binomial_sign([2], [4], [2], [1]) == 0
     # unequal but extremely close: a tiny budget cannot separate the logs
     monkeypatch.setenv("FEWNO_MAX_BITS", "32")
-    with pytest.raises(PrecisionLimitError):
+    with pytest.raises(PrecisionLimitError) as info:
         binomial_sign([2**200 + 1], [2**200 - 1], [5], [5])
+    # the error carries the last precision and the last enclosure overlap
+    exc = info.value
+    assert exc.bits == 32
+    assert isinstance(exc.gap, Fraction)
+    # each side is 5 logs of radius <= 2^-32, so the overlap is at most 10 * 2^-32
+    assert 0 < exc.gap <= Fraction(10, 2**32)
+    message = str(exc)
+    assert "32 bits" in message
+    bound = int(re.search(r"less than 2\^(-?\d+)", message).group(1))
+    assert Fraction(2) ** (bound - 2) <= exc.gap < Fraction(2) ** bound
+    monkeypatch.setenv("FEWNO_MAX_BITS", "100")
+    with pytest.raises(PrecisionLimitError) as info:
+        binomial_sign([2**200 + 1], [2**200 - 1], [5], [5])
+    assert info.value.bits == 64
+
+
+@pytest.mark.parametrize("value", ["abc", "", "0", "-8", "1.5"])
+def test_binomial_sign_rejects_malformed_max_bits(monkeypatch, value):
+    monkeypatch.setenv("FEWNO_MAX_BITS", value)
+    with pytest.raises(PreconditionError, match="FEWNO_MAX_BITS"):
+        binomial_sign([2], [3], [2], [1])

@@ -90,6 +90,15 @@ def test_grid_scan_exact_zero():
     assert hit is not None
 
 
+def test_grid_scan_size_guard():
+    # 101^8 points from short axes; without the guard the scan would stop
+    # at once on the zero at the origin
+    f = parse("x1 - x8")
+    with pytest.raises(ScaleLimitError):
+        grid_scan(f, [(0, 100)] * 8, Fraction(1))
+    assert grid_scan(f, [(0, 3)] * 8, Fraction(1)) == {"zero": (0,) * 8}
+
+
 def test_exact_product_compare_matches_expansion():
     rng = random.Random(55)
     for _ in range(100):
