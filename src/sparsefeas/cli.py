@@ -80,25 +80,19 @@ def _cmd_feas(args) -> int:
     f = _load_poly(args)
     if args.set == "positive":
         cls, cert = classify_positive(f)
-        # an EMPTY class may carry a sign-change pair outside the positive
-        # orthant, which certifies nothing about this set
-        empty = cls == EMPTY
-        payload = {
-            "set": "positive",
-            "verdict": "empty" if empty else "nonempty",
-            "classification": cls,
-            "witness": None if empty else _serialize(cert),
-        }
+        verdict = "empty" if cls == EMPTY else "nonempty"
     else:
         rep = feas_real_full(f)
+        cls, cert = rep.classification, rep.certificate
         verdict = rep.nonzero_reals if args.set == "nonzero" else rep.all_reals
-        payload = {
-            "set": args.set,
-            "verdict": verdict,
-            "classification": rep.classification,
-            "witness": _serialize(rep.certificate),
-        }
-    return _emit(payload)
+    # an empty verdict may come with a point of another set (a sign-change
+    # pair in another orthant, or the origin), which certifies nothing here
+    return _emit({
+        "set": args.set,
+        "verdict": verdict,
+        "classification": cls,
+        "witness": None if verdict == "empty" else _serialize(cert),
+    })
 
 
 def _parse_points(text: str):

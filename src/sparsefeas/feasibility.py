@@ -11,13 +11,18 @@ or contain a single circuit (#Supp = dim+2).  The positive-orthant
 classification goes beyond a verdict: it reports whether Z_+ is empty, a
 single point, a singular point, a compact sphere, or has only
 non-compact components.
+
+Z* and Z_R reduce to positive-orthant questions on the strata of R^n (a
+set of zero coordinates and an orthant of the rest).  A stratum matters
+only through the terms it keeps and their signs, so feas_real_full visits
+the closed term subsets and the F_2 classes of term signs, at most
+2^#terms of each, rather than the 3^n strata.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Optional
 
 from .errors import PreconditionError
@@ -317,67 +322,71 @@ def feas_circuit(f: SparsePolynomial) -> FeasibilityReport:
     return FeasibilityReport("empty", None, None, EMPTY)
 
 
-def _restricted_instance(f: SparsePolynomial, pattern):
-    """Restrict f to the sign/zero pattern: coordinates with 0 are set to
-    zero, coordinates with -1 flip term signs by parity.  Returns None
-    when every term dies (f vanishes identically on the stratum), else a
-    polynomial in the surviving variables."""
-    keep = [i for i, e in enumerate(pattern) if e != 0]
-    pairs = []
-    for t in f.terms:
-        if any(t.exponents[i] > 0 for i, e in enumerate(pattern) if e == 0):
-            continue
-        sign = 1
-        for i, e in enumerate(pattern):
-            if e == -1 and t.exponents[i] % 2 == 1:
-                sign = -sign
-        pairs.append((tuple(t.exponents[i] for i in keep), sign * t.coefficient))
-    if not pairs:
-        return None, keep
-    if not keep:
-        # the stratum is the origin; a surviving term is a nonzero constant
-        return make_polynomial(1, [((0,), c) for _, c in pairs]), keep
-    try:
-        g = make_polynomial(len(keep), pairs)
-    except Exception:
-        g = None  # cancellation to zero counts as identically zero
-    return g, keep
-
-
 def feas_real_full(f: SparsePolynomial) -> FeasibilityReport:
-    """Decide Z_+, Z*, and Z_R by dispatching over all sign/zero patterns.
+    """Decide Z_+, Z*, and Z_R over term subsets and F_2 sign classes.
 
-    Requires polynomial (nonnegative) exponents.  Each of the 3^n
-    patterns restricts f to a stratum and asks a positive-orthant
-    question; identical restricted instances are solved once.
+    Requires polynomial (nonnegative) exponents.  A stratum (some
+    coordinates zero, the rest of fixed sign) leaves the terms T whose
+    support avoids the zero coordinates, with term signs
+    sign(c_j) (-1)^<delta, a_j mod 2>: an affine map over F_2 of the
+    orthant delta.  The strata's sets T are the closed term subsets, those
+    holding every term supported inside their own union of supports.  An
+    empty T (no constant term) is a root at the origin.  A T without the
+    circuit is affinely independent, so it has roots exactly when some
+    reachable sign vector is mixed.  Only a T holding the circuit asks
+    classify_positive, once per reachable sign vector up to negation.
+    Z* is the question on T = all terms; Z_R adds the proper closed T.
     """
     if f.is_laurent:
         raise PreconditionError("real-set dispatch requires polynomial exponents")
-    cache: dict = {}
-    positive = None
-    nonzero = "empty"
-    real = "empty"
-    pos_cls = EMPTY
-    pos_cert = None
-    for pattern in product((1, -1, 0), repeat=f.n):
-        g, keep = _restricted_instance(f, pattern)
-        if g is None:
-            cls, cert = NONEMPTY_UNCLASSIFIED, None
-        elif not keep:
-            cls, cert = EMPTY, None  # nonzero constant at the origin
-        else:
-            key = (g.n, g.terms)
-            if key not in cache:
-                cache[key] = classify_positive(g)
-            cls, cert = cache[key]
-        if all(e == 1 for e in pattern):
-            positive = "empty" if cls == EMPTY else "nonempty"
-            pos_cls, pos_cert = cls, cert
-        if cls != EMPTY:
-            real = "nonempty"
-            if all(e != 0 for e in pattern):
-                nonzero = "nonempty"
-    return FeasibilityReport(positive, nonzero, real, pos_cls, pos_cert)
+    cls, cert = classify_positive(f)
+    if cls != EMPTY:
+        return FeasibilityReport("nonempty", "nonempty", "nonempty", cls, cert)
+    # term sets and sign vectors are bit masks over the term indices
+    terms = f.terms
+    full = (1 << len(terms)) - 1
+
+    def mask(pred):
+        return sum(1 << j for j, t in enumerate(terms) if pred(t))
+
+    neg = mask(lambda t: t.coefficient < 0)
+    parity = [mask(lambda t: t.exponents[i] % 2) for i in range(f.n)]
+    supp = [sum(1 << i for i, e in enumerate(t.exponents) if e) for t in terms]
+    located = find_circuit(support(f))
+    circuit = sum(1 << j for j in located[1]) if located else None
+
+    def has_roots(T, known_empty=None):
+        """Whether the terms T have a root in some open orthant, given the
+        class (a sign vector up to negation) of one known to be empty."""
+        if not T:
+            return True
+        flips = {0}  # the F_2 span of the parity columns on T
+        for col in parity:
+            if col & T not in flips:
+                flips |= {v ^ (col & T) for v in flips}
+        classes = {min(x, x ^ T) for x in ((neg ^ v) & T for v in flips)}
+        classes -= {0, known_empty}  # class 0: one sign throughout, no root
+        if circuit is None or circuit & T != circuit:
+            return bool(classes)  # a simplex has roots iff its signs mix
+        for x in classes:
+            g = make_polynomial(f.n, [
+                (t.exponents, (-1) ** (x >> j & 1) * abs(t.coefficient))
+                for j, t in enumerate(terms) if T >> j & 1
+            ])
+            if classify_positive(g)[0] != EMPTY:
+                return True
+        return False
+
+    if has_roots(full, known_empty=min(neg, neg ^ full)):
+        return FeasibilityReport("empty", "nonempty", "nonempty", cls, cert)
+    unions = {0}
+    for s in supp:
+        unions |= {u | s for u in unions}
+    closed = (sum(1 << j for j, s in enumerate(supp) if not s & ~u) for u in unions)
+    real = any(has_roots(T) for T in closed if T != full)
+    return FeasibilityReport(
+        "empty", "empty", "nonempty" if real else "empty", cls, cert
+    )
 
 
 _NON_BOUNDS = {1: 0, 2: 2, 3: 6, 4: 9}
@@ -431,6 +440,7 @@ def topology_report(f: SparsePolynomial) -> dict:
         report["positive_roots"] = counts
         if cls == COMPACT_SPHERE:
             report["pair_label"] = "S⁰"
-    if cert is not None:
+    # an EMPTY class may carry a point pair outside the positive orthant
+    if cert is not None and cls != EMPTY:
         report["certificate"] = cert
     return report

@@ -84,14 +84,15 @@ def find_circuit(A: PointSet):
     affinely independent.
     """
     pts = list(A)
-    d = affine_dim(A)
-    if len(pts) > d + 2:
-        raise PreconditionError("point set has more than dim + 2 points")
+    if not pts:
+        raise PreconditionError("empty point set")
+    # the kernel has dimension #A - dim - 1, so a second relation means
+    # more than dim + 2 points
     ker = _affine_relation(pts)
     if not ker:
         return None
     if len(ker) != 1:
-        raise PreconditionError("affine relations not unique: not dim + 2 points")
+        raise PreconditionError("point set has more than dim + 2 points")
     m = primitive_vector(ker[0])
     idx = [i for i, v in enumerate(m) if v != 0]
     sub = PointSet(tuple(pts[i] for i in idx))

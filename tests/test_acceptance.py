@@ -1,4 +1,4 @@
-"""Acceptance gate: nine end-to-end criteria with runtime budgets.
+"""Acceptance gate: ten end-to-end criteria with runtime budgets.
 
 Each test prints a single pass line with its measured runtime; any
 failure shows up as a normal pytest assertion failure.
@@ -19,6 +19,7 @@ from sparsefeas.feasibility import (
     POINT_MULT_1,
     SINGULAR_POINT,
     feas_circuit,
+    feas_real_full,
     feas_simplex,
     topology_report,
 )
@@ -323,3 +324,25 @@ def test_criterion_9_degenerate_points():
         )
         assert evaluate(derivative, [z]) == 0
     _report("criterion 9 (degenerate point extraction)", 100, time.monotonic() - start, 10)
+
+
+def test_criterion_10_real_dispatch_n10():
+    # 3^10 sign/zero strata, but only 2^10 closed term subsets for the sum
+    # of squares and two sign classes for the product
+    squares = make_polynomial(10, [((0,) * 10, 1)] + [
+        (tuple(2 * (k == i) for k in range(10)), 1) for i in range(10)
+    ])
+    product = make_polynomial(10, [((0,) * 10, -1), ((1,) * 10, 1)])
+    cases = [
+        (squares, ("empty", "empty", "empty")),
+        (product, ("nonempty", "nonempty", "nonempty")),
+    ]
+    total = 0.0
+    for f, expected in cases:
+        start = time.monotonic()
+        rep = feas_real_full(f)
+        elapsed = time.monotonic() - start
+        assert (rep.positive_orthant, rep.nonzero_reals, rep.all_reals) == expected
+        assert elapsed < 1, f"{to_text(f)}: {elapsed:.2f}s exceeds 1s budget"
+        total += elapsed
+    _report("criterion 10 (real dispatch at n = 10)", 2, total, 2)

@@ -68,6 +68,14 @@ def test_feas_real_verdicts(capsys):
     code, payload = _run(capsys, "feas", "--set", "nonzero", "--expr", "1 + x1^2")
     assert code == 0
     assert payload["verdict"] == "empty"
+    assert payload["witness"] is None
+    # the origin is a real root, but it is not in (R*)^2
+    code, payload = _run(capsys, "feas", "--set", "nonzero", "--expr", "x1^2 + x2^2")
+    assert payload["verdict"] == "empty"
+    assert payload["witness"] is None
+    code, payload = _run(capsys, "feas", "--set", "real", "--expr", "x1^2 + x2^2")
+    assert payload["verdict"] == "nonempty"
+    assert payload["witness"] == ["0", "0"]
 
 
 def test_disc_vanish_and_sign(capsys):
@@ -132,6 +140,12 @@ def test_topology(capsys):
     assert code == 0
     assert payload["classification"] == "COMPACT_SPHERE"
     assert payload["bounds"] == {"N_comp": 1, "N_non": 2}
+    # an EMPTY class reports no certificate: feas_simplex's pair for this
+    # support lies outside the positive orthant
+    code, payload = _run(capsys, "topology", "--expr", "1 + x1 + x2^2")
+    assert code == 0
+    assert payload["classification"] == "EMPTY"
+    assert "certificate" not in payload
 
 
 def test_reduce_sat3_with_brute_force(tmp_path, capsys):

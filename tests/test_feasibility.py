@@ -11,6 +11,7 @@ from sparsefeas.feasibility import (
     ALL_NONCOMPACT,
     COMPACT_SPHERE,
     EMPTY,
+    FeasibilityReport,
     NONEMPTY_UNCLASSIFIED,
     POINT_MULT_1,
     SINGULAR_POINT,
@@ -236,12 +237,101 @@ def test_real_full_grid_agreement():
             assert r.all_reals == "nonempty"
 
 
+def _strata_reference(f):
+    """The 3^n dispatch: restrict f to every sign/zero pattern of the
+    coordinates and classify each restriction's positive orthant."""
+    cache = {}
+    nonzero = real = "empty"
+    pos_cls, pos_cert = EMPTY, None
+    for pattern in itertools.product((1, -1, 0), repeat=f.n):
+        keep = [i for i, e in enumerate(pattern) if e != 0]
+        pairs = []
+        for t in f.terms:
+            if any(t.exponents[i] > 0 for i, e in enumerate(pattern) if e == 0):
+                continue
+            flips = sum(t.exponents[i] for i, e in enumerate(pattern) if e == -1)
+            exps = tuple(t.exponents[i] for i in keep)
+            pairs.append((exps, (-1) ** (flips % 2) * t.coefficient))
+        if not pairs:
+            cls, cert = NONEMPTY_UNCLASSIFIED, None  # f vanishes on the stratum
+        elif not keep:
+            cls, cert = EMPTY, None  # a nonzero constant at the origin
+        else:
+            g = make_polynomial(len(keep), pairs)
+            if g.terms not in cache:
+                cache[g.terms] = classify_positive(g)
+            cls, cert = cache[g.terms]
+        if all(e == 1 for e in pattern):
+            pos_cls, pos_cert = cls, cert
+        if cls != EMPTY:
+            real = "nonempty"
+            if 0 not in pattern:
+                nonzero = "nonempty"
+    positive = "empty" if pos_cls == EMPTY else "nonempty"
+    return FeasibilityReport(positive, nonzero, real, pos_cls, pos_cert)
+
+
+def _random_real_instance(rng, n):
+    """At most dim + 2 terms: a simplex or a circuit, often lower-
+    dimensional, with even exponents, absent variables or a constant term
+    mixed in, and one sign pattern in two all positive."""
+    while True:
+        if rng.random() < 0.25:
+            # points on a line: a lower-dimensional circuit
+            step = [rng.randint(0, 2) for _ in range(n)]
+            pts = {tuple(k * s for s in step) for k in rng.sample(range(4), 3)}
+        else:
+            pts = set()
+            if rng.random() < 0.5:
+                pts.add((0,) * n)
+            absent = rng.randrange(n) if n > 1 and rng.random() < 0.3 else None
+            scale = 2 if rng.random() < 0.3 else 1
+            for _ in range(rng.randint(2, n + 2)):
+                p = [scale * rng.randint(0, 3) for _ in range(n)]
+                if absent is not None:
+                    p[absent] = 0
+                pts.add(tuple(p))
+        positive = rng.random() < 0.5
+        terms = [(p, rng.randint(1, 6) * (1 if positive else rng.choice((1, -1))))
+                 for p in pts]
+        if len(terms) < 2:
+            continue
+        f = make_polynomial(n, terms)
+        try:
+            classify_positive(f)
+        except PreconditionError:
+            continue  # more than dim + 2 terms
+        return f
+
+
+def test_real_full_matches_strata_enumeration():
+    rng = random.Random(606)
+    seen = set()
+    for k in range(600):
+        f = _random_real_instance(rng, 1 + k % 5)
+        rep = feas_real_full(f)
+        assert rep == _strata_reference(f), str(f)
+        seen.add((rep.positive_orthant, rep.nonzero_reals, rep.all_reals))
+    assert len(seen) == 4  # every verdict combination occurs
+
+
 def test_topology_report_sphere():
     rep = topology_report(parse("1 + x1^4 + x2^4 - 3*x1*x2"))
     assert rep["classification"] == COMPACT_SPHERE
     assert rep["N_comp"] == 1
     assert rep["bounds"] == {"N_comp": 1, "N_non": 2}
     assert rep["support_meets_hull_interior"] is True
+
+
+def test_topology_report_empty_has_no_certificate():
+    # feas_simplex's sign-change pair for this support lies in the orthant
+    # x1 < 0, so it certifies nothing about Z_+
+    f = parse("1 + x1 + x2^2")
+    assert feas_simplex(f).certificate is not None
+    rep = topology_report(f)
+    assert rep["classification"] == EMPTY
+    assert "certificate" not in rep
+    assert "certificate" in topology_report(parse("x1 + x2 - 1"))
 
 
 def test_topology_report_bounds_by_dimension():
