@@ -63,6 +63,13 @@ def _load_poly(args) -> SparsePolynomial:
     raise SparseFeasError("one of --expr or --file is required")
 
 
+def _required(value, option: str):
+    """The value of a per-subcommand option that argparse leaves optional."""
+    if value is None:
+        raise SparseFeasError(f"{option} is required")
+    return value
+
+
 def _emit(payload) -> int:
     json.dump(payload, sys.stdout)
     sys.stdout.write("\n")
@@ -138,6 +145,10 @@ def _read_dimacs(path: str) -> Sat3Formula:
                 continue
             if line.startswith("p"):
                 parts = line.split()
+                if len(parts) != 4 or parts[1] != "cnf":
+                    raise SparseFeasError(
+                        f"bad DIMACS header {line!r}: expected 'p cnf <vars> <clauses>'"
+                    )
                 num_vars = int(parts[2])
                 continue
             lits = [int(v) for v in line.split()]
@@ -153,7 +164,7 @@ def _system_json(F: PolySystem):
 
 
 def _load_system(args) -> PolySystem:
-    with open(args.file) as fh:
+    with open(_required(args.file, "--file")) as fh:
         data = json.load(fh)
     if isinstance(data, dict) and "polynomials" in data:
         data = data["polynomials"]
@@ -170,7 +181,7 @@ def _brute_force_binary(F: PolySystem) -> bool:
 
 def _cmd_reduce(args) -> int:
     if args.gadget == "sat3":
-        phi = _read_dimacs(args.dimacs)
+        phi = _read_dimacs(_required(args.dimacs, "--dimacs"))
         F = sat3_to_system(phi)
         payload = _system_json(F)
         if args.brute_force:
@@ -202,14 +213,14 @@ def _cmd_oracle(args) -> int:
         f = _load_poly(args)
         box = [
             tuple(Fraction(v) for v in chunk.split(","))
-            for chunk in args.box.split(";")
+            for chunk in _required(args.box, "--box").split(";")
         ]
-        cert = grid_scan(f, box, Fraction(args.resolution))
+        cert = grid_scan(f, box, Fraction(_required(args.resolution, "--resolution")))
         return _emit({"certificate": _serialize(cert)})
-    alphas = [int(v) for v in args.alphas.split(",")]
-    betas = [int(v) for v in args.betas.split(",")]
-    us = [int(v) for v in args.us.split(",")]
-    vs = [int(v) for v in args.vs.split(",")]
+    alphas, betas, us, vs = (
+        [int(v) for v in _required(getattr(args, name), f"--{name}").split(",")]
+        for name in ("alphas", "betas", "us", "vs")
+    )
     return _emit({"sign": exact_product_compare(alphas, betas, us, vs)})
 
 

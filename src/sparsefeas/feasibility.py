@@ -35,18 +35,13 @@ from .discriminant import (
 from .geometry import (
     affine_dim,
     caged_alternation,
-    facet_normals,
+    facet_complements,
+    facet_normal,
     find_circuit,
-    initial_form,
     interior_point,
 )
 from .intlattice import hermite_factor, integer_kernel
-from .sparsepoly import (
-    PointSet,
-    SparsePolynomial,
-    make_polynomial,
-    support,
-)
+from .sparsepoly import SparsePolynomial, make_polynomial, support
 
 EMPTY = "EMPTY"
 POINT_MULT_1 = "POINT_MULT_1"
@@ -244,42 +239,42 @@ def classify_positive(f: SparsePolynomial):
 
 
 def feas_circuit(f: SparsePolynomial) -> FeasibilityReport:
-    """Classify Z_+(f) for a support of dim+2 points spanning R^n.
+    """Classify Z_+(f) for a support of n + 2 points spanning R^n.
 
-    Facet initial forms detect non-compact branches; a degenerate circuit
-    triggers a lower-dimensional recursion on the circuit terms; a caged
-    sign alternation routes through the circuit discriminant (vanishing:
-    one singular point; matching sign: a compact sphere); everything else
-    is empty.
+    One integer kernel gives the affine relation m of the support (one of
+    lower dimension has two, and raises PreconditionError).  Step 1: by
+    Gale duality (see facet_normals) the facets of n terms are A minus
+    {p, q} with m_p > 0 > m_q, affinely independent since a relation among
+    them would be a multiple of m vanishing at p; the apex facets have
+    n + 1 terms.  A simplex face with mixed signs makes a non-compact
+    branch, certified by the smallest such facet normal.  Step 2: a
+    degenerate circuit recurses on the circuit terms in the dimension
+    they span.  Step 3: a caged sign alternation routes through the
+    circuit discriminant (vanishing: one singular point; matching sign: a
+    compact sphere).  Everything else is empty.
     """
-    A = support(f)
     n = f.n
-    if len(A) != n + 2:
+    if len(f.terms) != n + 2:
         raise PreconditionError("circuit case needs exactly dim + 2 terms")
-    if affine_dim(A) != n:
-        raise PreconditionError("support must span full dimension")
     exps = _translated_exponents(f)
     coeffs = [t.coefficient for t in f.terms]
-    pts = PointSet(tuple(exps))
+    C, idx = find_circuit(exps)
+    rel = dict(zip(idx, C.relation))
 
-    # Step 1: a facet whose initial form already has a positive root.  A
-    # facet spans dimension n - 1, so a face of n terms is a simplex, and
-    # a simplex has a positive root iff its coefficient signs are mixed.
+    # Step 1: a mixed n-term facet; its normal certifies the branch
     if n >= 2:
-        for w in facet_normals(pts, n):
-            face = [t.coefficient for t in initial_form(f, w).terms]
+        normals = []
+        for out in facet_complements([rel.get(j, 0) for j in range(n + 2)]):
+            face = [c for j, c in enumerate(coeffs) if j not in out]
             if len(face) == n and min(face) < 0 < max(face):
-                return FeasibilityReport(
-                    "nonempty", None, None, ALL_NONCOMPACT, {"facet_normal": list(w)}
-                )
-
-    located = find_circuit(pts)
-    assert located is not None
-    C, idx = located
+                normals.append(facet_normal(exps, out))
+        if normals:
+            cert = {"facet_normal": list(min(normals))}
+            return FeasibilityReport("nonempty", None, None, ALL_NONCOMPACT, cert)
 
     # Step 2: degenerate circuit -> classify the circuit terms alone, in
     # the dimension they span
-    if len(C.points) < len(pts):
+    if len(idx) < len(exps):
         if interior_point(C) is not None:
             h = make_polynomial(n, [(exps[i], coeffs[i]) for i in idx])
             cls = feas_circuit(reduce_dimension(h)[0]).classification

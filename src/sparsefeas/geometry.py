@@ -10,15 +10,9 @@ of m encodes the Radon partition of the set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import NotACircuitError, PreconditionError
-from .intlattice import (
-    hermite_factor,
-    integer_kernel,
-    primitive_vector,
-    rank,
-)
+from .intlattice import hermite_factor, integer_kernel, primitive_vector
 from .sparsepoly import PointSet, SparsePolynomial, make_polynomial
 
 
@@ -57,17 +51,19 @@ class CircuitData:
 
 
 def affine_dim(A: PointSet) -> int:
-    """Dimension of the affine span of A (rank of the differences)."""
+    """Dimension of the affine span of A: the rank of the differences to
+    its first point, the number of nonzero rows of their Hermite form."""
     pts = list(A)
     if not pts:
         raise PreconditionError("empty point set")
-    base = pts[0]
-    diffs = [[p[k] - base[k] for k in range(len(base))] for p in pts[1:]]
-    return rank(diffs)
+    H, _ = hermite_factor([[a - b for a, b in zip(p, pts[0])] for p in pts[1:]])
+    return sum(1 for row in H if any(row))
 
 
 def _affine_relation(points):
     """The integer kernel of the (1 | a_j) column matrix, as row vectors."""
+    if not points:
+        raise PreconditionError("empty point set")
     d = len(points[0])
     # columns indexed by points; rows: the all-ones row plus coordinates
     M = [[1] * len(points)]
@@ -84,8 +80,6 @@ def find_circuit(A: PointSet):
     affinely independent.
     """
     pts = list(A)
-    if not pts:
-        raise PreconditionError("empty point set")
     # the kernel has dimension #A - dim - 1, so a second relation means
     # more than dim + 2 points
     ker = _affine_relation(pts)
@@ -118,40 +112,48 @@ def interior_point(C: CircuitData):
     return None
 
 
-def facet_normals(A: PointSet, n: int):
-    """All primitive inner facet normals of Conv(A) in R^n.
+def facet_complements(relation):
+    """The complements A minus F of the facets F of Conv(A), read from A's
+    affine relation m (see facet_normals): each mixed pair (p, q) with
+    m_p > 0 > m_q, then each apex (z,) with m_z = 0."""
+    pos = [j for j, v in enumerate(relation) if v > 0]
+    neg = [j for j, v in enumerate(relation) if v < 0]
+    apexes = [(z,) for z, v in enumerate(relation) if v == 0]
+    return [(p, q) for p in pos for q in neg] + apexes
 
-    Requires affine_dim(A) == n and #A <= n+2.  Each facet is found by
-    scanning n-subsets that span an (n-1)-dimensional affine space,
-    computing a normal from the kernel of the difference matrix, and
-    keeping the orientation that puts the rest of A on the nonnegative
-    side with at least one strictly positive value.
+
+def facet_normal(A: PointSet, out) -> tuple[int, ...]:
+    """Primitive inner normal of the facet Conv(A minus out): the kernel of
+    the facet points' differences, oriented positive at A[out[0]]."""
+    pts = list(A)
+    face = [p for j, p in enumerate(pts) if j not in out]
+    diffs = [[a - b for a, b in zip(p, face[0])] for p in face[1:]]
+    w = primitive_vector(integer_kernel(diffs)[0]) if diffs else [1]
+    if sum(wk * (a - b) for wk, a, b in zip(w, pts[out[0]], face[0])) < 0:
+        w = [-wk for wk in w]
+    return tuple(w)
+
+
+def facet_normals(A: PointSet, n: int):
+    """All primitive inner facet normals of Conv(A) in R^n, sorted.
+
+    Requires affine_dim(A) == n and #A <= n+2.  One integer kernel of the
+    (1 | a_j) matrix gives the dimension and the affine relation m, zero
+    for a simplex; every relation of A is a multiple of m.  By Gale
+    duality (Gelfand-Kapranov-Zelevinsky 1994, ch. 7) F is a face exactly
+    when 0 lies in the relative interior of {m_j : j not in F}, so the
+    facets are A minus {p, q} with m_p > 0 > m_q and A minus {z} with
+    m_z = 0.  The n points of A minus {p, q} are affinely independent: a
+    relation among them would be a multiple of m vanishing at p.
     """
     pts = list(A)
-    if affine_dim(A) != n:
+    ker = _affine_relation(pts)
+    if len(pts) - 1 - len(ker) != n:
         raise PreconditionError("support does not span full dimension")
     if len(pts) > n + 2:
         raise PreconditionError("too many points for facet scan")
-    normals = set()
-    for sub in combinations(range(len(pts)), n):
-        base = pts[sub[0]]
-        diffs = [
-            [pts[i][k] - base[k] for k in range(n)] for i in sub[1:]
-        ]
-        if rank(diffs) != n - 1:
-            continue
-        ker = integer_kernel(diffs) if diffs else integer_kernel([[0] * n])
-        if n == 1:
-            ker = [[1]]
-        if len(ker) != 1:
-            continue
-        w = primitive_vector(ker[0])
-        vals = [sum(wk * (p[k] - base[k]) for k, wk in enumerate(w)) for p in pts]
-        if all(v >= 0 for v in vals) and any(v > 0 for v in vals):
-            normals.add(tuple(w))
-        elif all(v <= 0 for v in vals) and any(v < 0 for v in vals):
-            normals.add(tuple(-x for x in w))
-    return sorted(normals)
+    m = ker[0] if ker else [0] * len(pts)
+    return sorted(facet_normal(pts, out) for out in facet_complements(m))
 
 
 def initial_form(f: SparsePolynomial, w) -> SparsePolynomial:

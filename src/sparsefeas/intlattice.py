@@ -1,5 +1,5 @@
 """Exact integer matrix algebra: determinants, Hermite and Smith forms,
-kernels and ranks.
+and kernels.
 
 Everything here is fraction-free: Bareiss elimination for determinants and
 extended-gcd row operations for the normal forms, so intermediate entries
@@ -247,12 +247,3 @@ def primitive_vector(v):
     if g == 0:
         return list(v)
     return [x // g for x in v]
-
-
-def rank(M) -> int:
-    """Rank over Q, via the Hermite form."""
-    if not M:
-        return 0
-    H, _ = hermite_factor(M)
-    return sum(1 for row in H if any(v != 0 for v in row))
-

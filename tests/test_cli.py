@@ -260,6 +260,28 @@ def test_oracle_product(capsys):
     assert payload["sign"] == 1
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["reduce", "sat3"], "--dimacs"),
+    (["reduce", "sat3", "--dimacs", "{cnf}"], "p cnf"),
+    (["reduce", "shor"], "--file"),
+    (["reduce", "sos"], "--file"),
+    (["oracle", "product", "--betas", "3", "--us", "2", "--vs", "1"], "--alphas"),
+    (["oracle", "product", "--alphas", "2", "--us", "2", "--vs", "1"], "--betas"),
+    (["oracle", "product", "--alphas", "2", "--betas", "3", "--vs", "1"], "--us"),
+    (["oracle", "product", "--alphas", "2", "--betas", "3", "--us", "2"], "--vs"),
+    (["oracle", "grid", "--expr", "x1 - 1", "--resolution", "1/2"], "--box"),
+    (["oracle", "grid", "--expr", "x1 - 1", "--box", "0,2"], "--resolution"),
+])
+def test_missing_option_is_one_error_line(tmp_path, capsys, argv, named):
+    cnf = tmp_path / "header.cnf"
+    cnf.write_text("p cnf\n1 -1 1 0\n")
+    code = run([a.replace("{cnf}", str(cnf)) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err and "Traceback" not in err
+
+
 def test_missing_file_exit_code():
     assert run(["feas", "--set", "positive", "--file", "/nonexistent.json"]) == 1
 

@@ -2,10 +2,12 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from sparsefeas import intlattice
 from sparsefeas.errors import PreconditionError
 from sparsefeas.feasibility import (
     ALL_NONCOMPACT,
@@ -24,7 +26,8 @@ from sparsefeas.feasibility import (
 )
 from sparsefeas.geometry import initial_form
 from sparsefeas.oracle import grid_scan, multiple_root_count, sturm_count
-from sparsefeas.sparsepoly import evaluate, make_polynomial, parse
+from sparsefeas.sparsepoly import evaluate, make_polynomial, parse, support
+from test_geometry import _facet_scan_reference, _random_support
 
 
 def test_simplex_mixed_signs_nonempty():
@@ -140,6 +143,67 @@ def test_circuit_degenerate_pyramid():
     assert feas_circuit(parse("1 - 2*x1 + x1^2 + x2")).classification == EMPTY
     cls = feas_circuit(parse("1 - 3*x1 + x1^2 + x2")).classification
     assert cls == NONEMPTY_UNCLASSIFIED
+
+
+def _mixed_facets(f):
+    """The reference scan's facet normals, in its sorted order, whose
+    initial form is a simplex of n terms with mixed coefficient signs."""
+    mixed = []
+    for w in _facet_scan_reference(support(f), f.n):
+        face = [t.coefficient for t in initial_form(f, w).terms]
+        if len(face) == f.n and min(face) < 0 < max(face):
+            mixed.append(w)
+    return mixed
+
+
+def test_circuit_facet_certificate_matches_subset_scan():
+    rng = random.Random(707)
+    fired = 0
+    for k in range(1000):
+        n = 2 + k % 4
+        pts = _random_support(rng, n, "pyramid" if k % 3 == 0 else "circuit")
+        coeffs = [rng.randint(1, 9) * rng.choice((1, -1)) for _ in pts]
+        f = make_polynomial(n, list(zip(pts, coeffs)))
+        rep = feas_circuit(f)
+        mixed = _mixed_facets(f)
+        if not mixed:
+            assert rep.classification != ALL_NONCOMPACT, str(f)
+            continue
+        fired += 1
+        assert rep.classification == ALL_NONCOMPACT, str(f)
+        assert repr(rep.certificate) == repr({"facet_normal": list(mixed[0])}), str(f)
+        face = initial_form(f, rep.certificate["facet_normal"]).terms
+        assert len(face) == n and {t.coefficient > 0 for t in face} == {True, False}
+    assert fired > 200 and 1000 - fired > 50  # both outcomes occur
+
+
+def _count_hermite_calls(monkeypatch):
+    real = intlattice.hermite_factor
+    calls = []
+
+    def counted(M):
+        calls.append(M)
+        return real(M)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("sparsefeas") and getattr(mod, "hermite_factor", None) is real:
+            monkeypatch.setattr(mod, "hermite_factor", counted)
+    return calls
+
+
+def test_circuit_lattice_call_budget(monkeypatch):
+    # one kernel of the (1 | a_j) matrix, then one per mixed facet normal
+    f = parse("1 + x1 + x2 + x3 + x4 - 2*x1*x2*x3*x4")
+    mixed = _mixed_facets(f)
+    assert len(mixed) == 4
+    calls = _count_hermite_calls(monkeypatch)
+    rep = feas_circuit(parse("1 + x1^4 + x2^4 - 3*x1*x2"))
+    assert rep.classification == COMPACT_SPHERE
+    assert len(calls) == 1
+    calls.clear()
+    rep = feas_circuit(f)
+    assert rep.certificate == {"facet_normal": list(mixed[0])}
+    assert len(calls) <= 1 + len(mixed)
 
 
 @pytest.mark.parametrize(

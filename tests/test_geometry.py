@@ -1,7 +1,11 @@
 """Tests for affine circuit geometry and Newton-polytope helpers."""
 
+import random
+from itertools import combinations
+
 import pytest
 
+from sparsefeas.errors import PreconditionError
 from sparsefeas.geometry import (
     affine_dim,
     caged_alternation,
@@ -10,7 +14,58 @@ from sparsefeas.geometry import (
     initial_form,
     interior_point,
 )
+from sparsefeas.intlattice import integer_kernel, primitive_vector, smith_factor
 from sparsefeas.sparsepoly import parse, support
+
+
+def _rank(M):
+    """Rank over Q from the Smith form, an algorithm facet_normals does
+    not use."""
+    if not M:
+        return 0
+    S = smith_factor(M)[0]
+    return sum(1 for i in range(min(len(S), len(S[0]))) if S[i][i])
+
+
+def _facet_scan_reference(A, n):
+    """All primitive inner facet normals of Conv(A), sorted, by the subset
+    scan: every n-subset whose differences have a kernel of dimension 1
+    spans a hyperplane, kept when the rest of A lies on one side of it."""
+    pts = list(A)
+    normals = set()
+    for sub in combinations(range(len(pts)), n):
+        base = pts[sub[0]]
+        diffs = [[pts[i][k] - base[k] for k in range(n)] for i in sub[1:]]
+        ker = integer_kernel(diffs) if diffs else [[1]]
+        if len(ker) != 1:
+            continue
+        w = primitive_vector(ker[0])
+        vals = [sum(wk * (p[k] - base[k]) for k, wk in enumerate(w)) for p in pts]
+        if all(v >= 0 for v in vals) and any(v > 0 for v in vals):
+            normals.add(tuple(w))
+        elif all(v <= 0 for v in vals) and any(v < 0 for v in vals):
+            normals.add(tuple(-x for x in w))
+    return sorted(normals)
+
+
+def _random_support(rng, n, kind):
+    """Distinct points spanning R^n: a simplex (n + 1 points), a circuit
+    (n + 2), or a pyramid, whose d + 2 base points span only d < n
+    coordinates, so that its n - d apexes have relation entry 0."""
+    hi = rng.choice((2, 4, 9))
+
+    def point(d):
+        return tuple(rng.randint(0, hi) for _ in range(d)) + (0,) * (n - d)
+
+    while True:
+        if kind == "pyramid":
+            d = rng.randint(1, n - 1)
+            pts = [point(d) for _ in range(d + 2)] + [point(n) for _ in range(n - d)]
+        else:
+            pts = [point(n) for _ in range(n + 1 + (kind == "circuit"))]
+        diffs = [[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]
+        if len(set(pts)) == len(pts) and _rank(diffs) == n:
+            return pts
 
 
 def test_affine_dim():
@@ -71,6 +126,27 @@ def test_facet_normals_triangle():
 
 def test_facet_normals_segment():
     assert set(facet_normals([(0,), (5,)], 1)) == {(1,), (-1,)}
+
+
+def test_facet_normals_match_subset_scan():
+    rng = random.Random(2024)
+    kinds = {}
+    for k in range(1200):
+        n = 1 + k % 5
+        kind = rng.choice(("simplex", "circuit", "pyramid") if n > 1 else ("simplex", "circuit"))
+        pts = _random_support(rng, n, kind)
+        assert facet_normals(pts, n) == _facet_scan_reference(pts, n), pts
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert min(kinds.values()) >= 300
+
+
+def test_facet_normals_preconditions():
+    with pytest.raises(PreconditionError):
+        facet_normals([(0, 0), (1, 1), (2, 2)], 2)  # a segment in R^2
+    with pytest.raises(PreconditionError):
+        facet_normals([(0,), (1,), (2,), (3,)], 1)  # more than n + 2 points
+    with pytest.raises(PreconditionError):
+        facet_normals([], 1)
 
 
 def test_initial_form_selects_face():

@@ -9,7 +9,6 @@ from sparsefeas.intlattice import (
     integer_kernel,
     mat_mul,
     primitive_vector,
-    rank,
     smith_factor,
 )
 
@@ -110,7 +109,8 @@ def test_integer_kernel_spans_null_space():
         cols = rng.randint(1, 5)
         m = _random_matrix(rng, rows, cols)
         kern = integer_kernel(m)
-        assert len(kern) == cols - rank(m)
+        S = smith_factor(m)[0]
+        assert len(kern) == cols - sum(1 for i in range(min(rows, cols)) if S[i][i])
         for vec in kern:
             for row in m:
                 assert sum(a * b for a, b in zip(row, vec)) == 0
