@@ -71,7 +71,16 @@ def _required(value, option: str):
 
 
 def _emit(payload) -> int:
-    json.dump(payload, sys.stdout)
+    # witnesses may pass the int-to-str digit guard (Python >= 3.10.7);
+    # it is lifted only while writing, so that parsing input keeps it
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    try:
+        if limit:
+            sys.set_int_max_str_digits(0)
+        json.dump(_serialize(payload), sys.stdout)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     sys.stdout.write("\n")
     return 0
 
@@ -98,7 +107,7 @@ def _cmd_feas(args) -> int:
         "set": args.set,
         "verdict": verdict,
         "classification": cls,
-        "witness": None if verdict == "empty" else _serialize(cert),
+        "witness": None if verdict == "empty" else cert,
     })
 
 
@@ -132,7 +141,7 @@ def _cmd_disc(args) -> int:
 
 def _cmd_topology(args) -> int:
     f = _load_poly(args)
-    return _emit(_serialize(topology_report(f)))
+    return _emit(topology_report(f))
 
 
 def _read_dimacs(path: str) -> Sat3Formula:
@@ -216,7 +225,7 @@ def _cmd_oracle(args) -> int:
             for chunk in _required(args.box, "--box").split(";")
         ]
         cert = grid_scan(f, box, Fraction(_required(args.resolution, "--resolution")))
-        return _emit({"certificate": _serialize(cert)})
+        return _emit({"certificate": cert})
     alphas, betas, us, vs = (
         [int(v) for v in _required(getattr(args, name), f"--{name}").split(",")]
         for name in ("alphas", "betas", "us", "vs")

@@ -23,7 +23,7 @@ sum is a lower bound, and the error is counted in ulps (units of
 2^-guard): each truncation of the power adds at most 1 ulp, each term at
 most 2, and the geometric tail after the last nonzero power (at most 9/8
 of the next power) at most 2 more.  A series of t terms is thus exact to
-2t + 2 ulps; ``log_interval`` scales that by at most 2k + 2 and chooses
+2t + 2 ulps; ``_log_fixed`` scales that by at most 2k + 2 and chooses
 guard so the total radius stays <= 2^-bits.  The atanh(1/3) enclosure is
 computed once per guard and cached.  Sums of logs are compared as exact
 integers at the finest dyadic scale of their enclosures.
@@ -185,8 +185,9 @@ def _atanh_third(guard: int):
     return hit
 
 
-def log_interval(n: int, bits: int) -> LogInterval:
-    """A rigorous dyadic enclosure of ln(n) with radius <= 2^-bits.
+def _log_fixed(n: int, bits: int):
+    """ln(n) for n >= 2 in fixed point: ``(low, width, guard)`` with
+    low <= ln(n) * 2^guard <= low + width and width <= 2^(guard+1-bits).
 
     Argument reduction: with 2^k <= n < 2^(k+1) and z = (n-2^k)/(n+2^k),
     ln n = 2k*atanh(1/3) + 2*atanh(z), where z lies in [0, 1/3).  Both
@@ -194,23 +195,27 @@ def log_interval(n: int, bits: int) -> LogInterval:
     bits beyond ``bits`` absorb the factor 2k + 2 and the 2t + 2 ulps of a
     t-term series (t <= guard / 3).
     """
+    k = n.bit_length() - 1
+    extra = k.bit_length() + (bits + k.bit_length()).bit_length() + 4
+    guard = bits + extra
+    ln2_low, ln2_width = _atanh_third(guard)
+    z_low, z_width = _atanh_fixed(n - (1 << k), n + (1 << k), guard)
+    width = 2 * k * ln2_width + 2 * z_width
+    return 2 * k * ln2_low + 2 * z_low, width, guard
+
+
+def log_interval(n: int, bits: int) -> LogInterval:
+    """A rigorous dyadic enclosure of ln(n) with radius <= 2^-bits."""
     if n < 1:
         raise PreconditionError("log_interval requires n >= 1")
     if bits < 1:
         raise PreconditionError("log_interval requires bits >= 1")
     if n == 1:
         return LogInterval(Fraction(0), Fraction(1, 1 << (bits + 1)), bits)
-    k = n.bit_length() - 1
-    extra = k.bit_length() + (bits + k.bit_length()).bit_length() + 4
-    guard = bits + extra
-    ln2_low, ln2_width = _atanh_third(guard)
-    z_low, z_width = _atanh_fixed(n - (1 << k), n + (1 << k), guard)
-    low = 2 * k * ln2_low + 2 * z_low
-    width = 2 * k * ln2_width + 2 * z_width
-    # ln n lies in [low, low + width] * 2^-guard; the radius is
-    # width / 2^(guard+1), and it must not exceed 2^-bits
-    assert width <= 1 << (extra + 1)
-    scale = 1 << (guard + 1)
+    low, width, guard = _log_fixed(n, bits)
+    # the radius width / 2^(guard+1) must not exceed 2^-bits
+    assert width <= 1 << (guard + 1 - bits)
+    scale = 2 << guard
     return LogInterval(Fraction(2 * low + width, scale), Fraction(width, scale), bits)
 
 
@@ -219,12 +224,12 @@ _LOG_CACHE: dict = {}
 
 def _cached_log(n, bits):
     key = (n, bits)
-    li = _LOG_CACHE.get(key)
-    if li is None:
-        li = log_interval(n, bits)
+    hit = _LOG_CACHE.get(key)
+    if hit is None:
+        hit = _log_fixed(n, bits)
         if len(_LOG_CACHE) < 4096:
-            _LOG_CACHE[key] = li
-    return li
+            _LOG_CACHE[key] = hit
+    return hit
 
 
 def _max_bits() -> int:
@@ -241,19 +246,14 @@ def _max_bits() -> int:
 
 
 def _log_terms(bases, exps, bits):
-    return [(exp, _cached_log(base, bits)) for base, exp in zip(bases, exps) if exp and base != 1]
-
-
-def _scaled(x: Fraction, scale: int) -> int:
-    """x * 2^scale for a dyadic x whose denominator divides 2^scale."""
-    return x.numerator << (scale + 1 - x.denominator.bit_length())
+    return [(exp, *_cached_log(base, bits)) for base, exp in zip(bases, exps) if exp and base != 1]
 
 
 def _fixed_sum(terms, scale):
-    """(mid, rad) of sum exp * ln(base) in exact units of 2^-scale."""
-    mid = sum(exp * _scaled(li.value, scale) for exp, li in terms)
-    rad = sum(exp * _scaled(li.radius, scale) for exp, li in terms)
-    return mid, rad
+    """(low, high) enclosing sum exp * ln(base) in exact units of 2^-scale."""
+    low = sum((exp * lo) << (scale - guard) for exp, lo, _, guard in terms)
+    high = sum((exp * (lo + w)) << (scale - guard) for exp, lo, w, guard in terms)
+    return low, high
 
 
 def binomial_sign(alphas, betas, us, vs) -> int:
@@ -272,22 +272,18 @@ def binomial_sign(alphas, betas, us, vs) -> int:
     while True:
         left = _log_terms(alphas, us, bits)
         right = _log_terms(betas, vs, bits)
-        scale = max(
-            (max(li.value.denominator, li.radius.denominator).bit_length() - 1
-             for _, li in left + right),
-            default=0,
-        )
-        lm, lr = _fixed_sum(left, scale)
-        rm, rr = _fixed_sum(right, scale)
-        if lm - lr > rm + rr:
+        scale = max((guard for *_, guard in left + right), default=0)
+        l_low, l_high = _fixed_sum(left, scale)
+        r_low, r_high = _fixed_sum(right, scale)
+        if l_low > r_high:
             return 1
-        if lm + lr < rm - rr:
+        if l_high < r_low:
             return -1
         if not checked_equal:
             if binomial_vanish(alphas, betas, us, vs):
                 return 0
             checked_equal = True
         if 2 * bits > max_bits:
-            gap = Fraction(min(lm + lr, rm + rr) - max(lm - lr, rm - rr), 1 << scale)
+            gap = Fraction(min(l_high, r_high) - max(l_low, r_low), 1 << scale)
             raise PrecisionLimitError(bits, gap)
         bits *= 2

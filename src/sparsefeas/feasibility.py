@@ -33,15 +33,16 @@ from .discriminant import (
     degenerate_point,
 )
 from .geometry import (
-    affine_dim,
+    SupportAnalysis,
+    affine_function,
+    analyze_support,
     caged_alternation,
     facet_complements,
-    facet_normal,
-    find_circuit,
+    facet_values,
     interior_point,
 )
-from .intlattice import hermite_factor, integer_kernel
-from .sparsepoly import SparsePolynomial, make_polynomial, support
+from .intlattice import hermite_factor
+from .sparsepoly import SparsePolynomial, make_polynomial
 
 EMPTY = "EMPTY"
 POINT_MULT_1 = "POINT_MULT_1"
@@ -75,50 +76,40 @@ def _translated_exponents(f: SparsePolynomial):
     return [tuple(e - b for e, b in zip(t.exponents, base)) for t in f.terms]
 
 
-def _dominant_point(f: SparsePolynomial, j: int):
-    """A rational point in the positive orthant where term j dominates, so
-    that sign f(x) = sign c_j.  Requires affinely independent support and
-    at least two terms."""
-    ej = f.terms[j].exponents
-    rows = [
-        [e - e0 for e, e0 in zip(t.exponents, ej)] + [-1]
-        for i, t in enumerate(f.terms)
-        if i != j
-    ]
-    # a kernel vector (w, s) with s != 0 gives w . (a_i - a_j) = s for all
-    # i != j; one exists because the differences are linearly independent
-    *w, s = next(v for v in integer_kernel(rows) if v[-1] != 0)
-    if s < 0:
-        w = [-wk for wk in w]
+def _dominant_point(f: SparsePolynomial, j: int, an: SupportAnalysis):
+    """A rational point t^w in the positive orthant where term j dominates,
+    so that sign f(x) = sign c_j.  The affine function (c, w) with values
+    1 - e_j at the affinely independent support gives w . (a_i - a_j) =
+    s > 0 for all i != j, and t = 1/(1 + sum |c_i|)."""
+    _, w = affine_function(an, [int(i != j) for i in range(len(f.terms))])
     t = Fraction(1, 1 + sum(abs(term.coefficient) for term in f.terms))
     return tuple(t ** wk for wk in w)
 
 
-def _sign_change_pair(f: SparsePolynomial):
+def _sign_change_pair(f: SparsePolynomial, an: SupportAnalysis):
     """Two positive rational points where f takes opposite signs; requires
     mixed coefficient signs and affinely independent support."""
     jp = next(i for i, t in enumerate(f.terms) if t.coefficient > 0)
     jn = next(i for i, t in enumerate(f.terms) if t.coefficient < 0)
-    p = _dominant_point(f, jp)
-    q = _dominant_point(f, jn)
-    return p, q
+    return _dominant_point(f, jp, an), _dominant_point(f, jn, an)
 
 
-def feas_simplex(f: SparsePolynomial) -> FeasibilityReport:
+def feas_simplex(f: SparsePolynomial, an: SupportAnalysis | None = None) -> FeasibilityReport:
     """Decide all three root sets for an affinely independent support.
 
     Mixed coefficient signs make everything nonempty; otherwise an odd
     coordinate among the exponent differences rescues the nonzero and
-    real sets; otherwise only the origin can be a root.
+    real sets; otherwise only the origin can be a root.  ``an`` is the
+    support's analysis, when the caller has it.
     """
-    A = support(f)
-    if len(A) != affine_dim(A) + 1:
+    an = an or analyze_support(t.exponents for t in f.terms)
+    if len(f.terms) != an.rank:
         raise PreconditionError("support is not affinely independent")
     coeffs = [t.coefficient for t in f.terms]
     mixed = any(c > 0 for c in coeffs) and any(c < 0 for c in coeffs)
     if mixed:
         cls = POINT_MULT_1 if f.n == 1 and len(coeffs) == 2 else ALL_NONCOMPACT
-        cert = _sign_change_pair(f)
+        cert = _sign_change_pair(f, an)
         return FeasibilityReport("nonempty", "nonempty", "nonempty", cls, cert)
     exps = _translated_exponents(f)
     odd = None
@@ -130,7 +121,7 @@ def feas_simplex(f: SparsePolynomial) -> FeasibilityReport:
         if odd:
             break
     if odd is not None:
-        # flipping coordinate i makes the signs mixed in that orthant
+        # flipping coordinate i mixes the signs there, on the same support
         i = odd[0]
         flipped = make_polynomial(
             f.n,
@@ -139,7 +130,7 @@ def feas_simplex(f: SparsePolynomial) -> FeasibilityReport:
                 for t in f.terms
             ],
         )
-        p, q = _sign_change_pair(flipped)
+        p, q = _sign_change_pair(flipped, an)
         cert = (
             tuple(-v if k == i else v for k, v in enumerate(p)),
             tuple(-v if k == i else v for k, v in enumerate(q)),
@@ -162,13 +153,10 @@ def reduce_dimension(f: SparsePolynomial):
     coefficients.  Root sets in the open orthants correspond exactly.
     """
     exps = _translated_exponents(f)
-    d = affine_dim(support(f))
+    H, U = hermite_factor([[e[i] for e in exps] for i in range(f.n)])
+    d = sum(1 for row in H if any(row))  # the rank: the affine dimension
     if d >= f.n:
         raise PreconditionError("support already spans full dimension")
-    T = [[e[i] for e in exps] for i in range(f.n)]
-    H, U = hermite_factor(T)
-    for col in range(len(exps)):
-        assert all(H[r][col] == 0 for r in range(d, f.n))
     g = make_polynomial(
         max(d, 1),
         [
@@ -214,60 +202,64 @@ def _pull_back(cert, U, n):
     return cert
 
 
-def classify_positive(f: SparsePolynomial):
+def classify_positive(f: SparsePolynomial, an: SupportAnalysis | None = None):
     """(classification, certificate) for Z_+(f), dispatching on the support
     shape: a simplex goes to feas_simplex, a circuit to feas_circuit.
+    ``an`` is the support's analysis, when the caller has it.
 
     A circuit support of affine dimension d < n is first reduced to d
     variables.  Z_+(f) is then Z_+(g) x R_+^(n-d), so every nonempty
     class becomes ALL_NONCOMPACT, and the certificate is pulled back.
     """
-    A = support(f)
-    d = affine_dim(A)
-    if len(A) > d + 2:
+    an = an or analyze_support(t.exponents for t in f.terms)
+    if len(f.terms) > an.rank + 1:
         raise PreconditionError("more than dim + 2 support points")
-    if len(A) == d + 1:
-        rep = feas_simplex(f)
+    if len(f.terms) == an.rank:
+        rep = feas_simplex(f, an)
         return rep.classification, rep.certificate
-    if d < f.n:
+    if an.rank <= f.n:
         g, U = reduce_dimension(f)
         rep = feas_circuit(g)
         cls = EMPTY if rep.classification == EMPTY else ALL_NONCOMPACT
         return cls, _pull_back(rep.certificate, U, f.n)
-    rep = feas_circuit(f)
+    rep = feas_circuit(f, an)
     return rep.classification, rep.certificate
 
 
-def feas_circuit(f: SparsePolynomial) -> FeasibilityReport:
+def feas_circuit(f: SparsePolynomial, an: SupportAnalysis | None = None) -> FeasibilityReport:
     """Classify Z_+(f) for a support of n + 2 points spanning R^n.
 
-    One integer kernel gives the affine relation m of the support (one of
-    lower dimension has two, and raises PreconditionError).  Step 1: by
-    Gale duality (see facet_normals) the facets of n terms are A minus
-    {p, q} with m_p > 0 > m_q, affinely independent since a relation among
-    them would be a multiple of m vanishing at p; the apex facets have
-    n + 1 terms.  A simplex face with mixed signs makes a non-compact
-    branch, certified by the smallest such facet normal.  Step 2: a
-    degenerate circuit recurses on the circuit terms in the dimension
-    they span.  Step 3: a caged sign alternation routes through the
-    circuit discriminant (vanishing: one singular point; matching sign: a
-    compact sphere).  Everything else is empty.
+    The support analysis ``an`` (built here when the caller has none)
+    gives the affine relation m of the support (one of lower dimension
+    has two, and raises PreconditionError).  Step 1: by Gale duality (see
+    facet_normals) the facets of n terms are A minus {p, q} with
+    m_p > 0 > m_q, affinely independent since a relation among them would
+    be a multiple of m vanishing at p; the apex facets have n + 1 terms.
+    A simplex face with mixed signs makes a non-compact branch, certified
+    by the smallest such facet normal: the affine function with the
+    facet_values -m_q at p and m_p at q, one back substitution each.
+    Step 2: a degenerate circuit recurses on the circuit terms in the
+    dimension they span.  Step 3: a caged sign alternation routes through
+    the circuit discriminant (vanishing: one singular point; matching
+    sign: a compact sphere).  Everything else is empty.
     """
     n = f.n
     if len(f.terms) != n + 2:
         raise PreconditionError("circuit case needs exactly dim + 2 terms")
+    an = an or analyze_support(t.exponents for t in f.terms)
     exps = _translated_exponents(f)
     coeffs = [t.coefficient for t in f.terms]
-    C, idx = find_circuit(exps)
+    C, idx = an.circuit
     rel = dict(zip(idx, C.relation))
 
     # Step 1: a mixed n-term facet; its normal certifies the branch
     if n >= 2:
+        m = [rel.get(j, 0) for j in range(n + 2)]
         normals = []
-        for out in facet_complements([rel.get(j, 0) for j in range(n + 2)]):
+        for out in facet_complements(m):
             face = [c for j, c in enumerate(coeffs) if j not in out]
             if len(face) == n and min(face) < 0 < max(face):
-                normals.append(facet_normal(exps, out))
+                normals.append(affine_function(an, facet_values(m, out))[1])
         if normals:
             cert = {"facet_normal": list(min(normals))}
             return FeasibilityReport("nonempty", None, None, ALL_NONCOMPACT, cert)
@@ -334,7 +326,8 @@ def feas_real_full(f: SparsePolynomial) -> FeasibilityReport:
     """
     if f.is_laurent:
         raise PreconditionError("real-set dispatch requires polynomial exponents")
-    cls, cert = classify_positive(f)
+    an = analyze_support(t.exponents for t in f.terms)
+    cls, cert = classify_positive(f, an)
     if cls != EMPTY:
         return FeasibilityReport("nonempty", "nonempty", "nonempty", cls, cert)
     # term sets and sign vectors are bit masks over the term indices
@@ -347,8 +340,7 @@ def feas_real_full(f: SparsePolynomial) -> FeasibilityReport:
     neg = mask(lambda t: t.coefficient < 0)
     parity = [mask(lambda t: t.exponents[i] % 2) for i in range(f.n)]
     supp = [sum(1 << i for i, e in enumerate(t.exponents) if e) for t in terms]
-    located = find_circuit(support(f))
-    circuit = sum(1 << j for j in located[1]) if located else None
+    circuit = sum(1 << j for j in an.circuit[1]) if an.circuit else None
 
     def has_roots(T, known_empty=None):
         """Whether the terms T have a root in some open orthant, given the
@@ -396,18 +388,15 @@ def topology_report(f: SparsePolynomial) -> dict:
     classification, and exact positive root counts for n = 1.
     """
     n = f.n
-    A = support(f)
-    d = affine_dim(A)
-    cls, cert = classify_positive(f)
+    an = analyze_support(t.exponents for t in f.terms)
+    cls, cert = classify_positive(f, an)
     bounds = {
         "N_comp": 1,
         "N_non": _NON_BOUNDS.get(n, 2 * n + 2),
     }
     meets_interior = False
-    if len(A) == d + 2 and d == n:
-        located = find_circuit(A)
-        if located is not None and len(located[0].points) == len(A):
-            meets_interior = interior_point(located[0]) is not None
+    if an.rank == n + 1 and an.circuit and len(an.circuit[1]) == len(f.terms):
+        meets_interior = interior_point(an.circuit[0]) is not None
     n_comp = {
         EMPTY: 0,
         ALL_NONCOMPACT: 0,

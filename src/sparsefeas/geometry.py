@@ -10,9 +10,11 @@ of m encodes the Radon partition of the set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from math import prod
 
 from .errors import NotACircuitError, PreconditionError
-from .intlattice import hermite_factor, integer_kernel, primitive_vector
+from .intlattice import hermite_factor, primitive_vector
 from .sparsepoly import PointSet, SparsePolynomial, make_polynomial
 
 
@@ -50,26 +52,68 @@ class CircuitData:
         return tuple(i for i, v in enumerate(self.relation) if v < 0)
 
 
-def affine_dim(A: PointSet) -> int:
-    """Dimension of the affine span of A: the rank of the differences to
-    its first point, the number of nonzero rows of their Hermite form."""
-    pts = list(A)
+@dataclass(frozen=True)
+class SupportAnalysis:
+    """One Hermite factorization U (1 | a_j) = H of the rows (1, a_j) of a
+    support (Cohen 1993, sec. 2.4), read by every decider.  H has rank =
+    affine dimension + 1 nonzero rows; the rows of U past them (kernel)
+    are a lattice basis of the affine relations of the points."""
+
+    points: tuple
+    H: list
+    U: list
+    rank: int
+    kernel: list
+
+    @cached_property
+    def circuit(self):
+        """find_circuit's answer for the points."""
+        # the kernel has dimension #A - dim - 1, so a second relation means
+        # more than dim + 2 points
+        if len(self.kernel) > 1:
+            raise PreconditionError("point set has more than dim + 2 points")
+        if not self.kernel:
+            return None
+        m = primitive_vector(self.kernel[0])
+        idx = [i for i, v in enumerate(m) if v != 0]
+        sub = PointSet(tuple(self.points[i] for i in idx))
+        rel = tuple(m[i] for i in idx)
+        if rel[0] < 0:
+            rel = tuple(-v for v in rel)
+        return CircuitData(sub, rel), idx
+
+
+def analyze_support(A) -> SupportAnalysis:
+    """The SupportAnalysis of a nonempty point set, in its order."""
+    pts = tuple(A)
     if not pts:
         raise PreconditionError("empty point set")
-    H, _ = hermite_factor([[a - b for a, b in zip(p, pts[0])] for p in pts[1:]])
-    return sum(1 for row in H if any(row))
+    H, U = hermite_factor([[1, *p] for p in pts])
+    r = sum(1 for row in H if any(row))
+    return SupportAnalysis(pts, H, U, r, U[r:])
 
 
-def _affine_relation(points):
-    """The integer kernel of the (1 | a_j) column matrix, as row vectors."""
-    if not points:
-        raise PreconditionError("empty point set")
-    d = len(points[0])
-    # columns indexed by points; rows: the all-ones row plus coordinates
-    M = [[1] * len(points)]
-    for k in range(d):
-        M.append([p[k] for p in points])
-    return integer_kernel(M)
+def affine_function(an: SupportAnalysis, values):
+    """The primitive integer (c, w) with c + w . a_j a positive multiple of
+    values[j] at every point; ``values`` must be orthogonal to the
+    relations.  H x = U v is solved by back substitution with free columns
+    0, scaled by the product D of the pivots: D times the inverse of the
+    pivot columns is their adjugate, an integer matrix, so every division
+    is exact."""
+    H, r = an.H, an.rank
+    pivots = [next(k for k, h in enumerate(row) if h) for row in H[:r]]
+    D = prod(row[p] for row, p in zip(H, pivots))
+    x = [0] * len(H[0])
+    for p, row, u in reversed(list(zip(pivots, H, an.U))):
+        b = sum(uj * v for uj, v in zip(u, values) if v)
+        x[p] = (D * b - sum(row[k] * x[k] for k in range(p + 1, len(x)))) // row[p]
+    c, *w = primitive_vector(x)
+    return c, tuple(w)
+
+
+def affine_dim(A: PointSet) -> int:
+    """Dimension of the affine span of A."""
+    return analyze_support(A).rank - 1
 
 
 def find_circuit(A: PointSet):
@@ -79,21 +123,7 @@ def find_circuit(A: PointSet):
     into A) for the unique minimally dependent subset, or None when A is
     affinely independent.
     """
-    pts = list(A)
-    # the kernel has dimension #A - dim - 1, so a second relation means
-    # more than dim + 2 points
-    ker = _affine_relation(pts)
-    if not ker:
-        return None
-    if len(ker) != 1:
-        raise PreconditionError("point set has more than dim + 2 points")
-    m = primitive_vector(ker[0])
-    idx = [i for i, v in enumerate(m) if v != 0]
-    sub = PointSet(tuple(pts[i] for i in idx))
-    rel = tuple(m[i] for i in idx)
-    if rel[0] < 0:
-        rel = tuple(-v for v in rel)
-    return CircuitData(sub, rel), idx
+    return analyze_support(A).circuit
 
 
 def interior_point(C: CircuitData):
@@ -122,38 +152,38 @@ def facet_complements(relation):
     return [(p, q) for p in pos for q in neg] + apexes
 
 
-def facet_normal(A: PointSet, out) -> tuple[int, ...]:
-    """Primitive inner normal of the facet Conv(A minus out): the kernel of
-    the facet points' differences, oriented positive at A[out[0]]."""
-    pts = list(A)
-    face = [p for j, p in enumerate(pts) if j not in out]
-    diffs = [[a - b for a, b in zip(p, face[0])] for p in face[1:]]
-    w = primitive_vector(integer_kernel(diffs)[0]) if diffs else [1]
-    if sum(wk * (a - b) for wk, a, b in zip(w, pts[out[0]], face[0])) < 0:
-        w = [-wk for wk in w]
-    return tuple(w)
+def facet_values(relation, out):
+    """The values at the points, up to a positive factor, of the inner
+    affine function of the facet with complement ``out`` (see
+    facet_normals): 1 at an apex z; -m_q at p and m_p at q for a pair."""
+    v = [0] * len(relation)
+    if len(out) == 1:
+        v[out[0]] = 1
+    else:
+        v[out[0]], v[out[1]] = -relation[out[1]], relation[out[0]]
+    return v
 
 
 def facet_normals(A: PointSet, n: int):
     """All primitive inner facet normals of Conv(A) in R^n, sorted.
 
-    Requires affine_dim(A) == n and #A <= n+2.  One integer kernel of the
-    (1 | a_j) matrix gives the dimension and the affine relation m, zero
-    for a simplex; every relation of A is a multiple of m.  By Gale
-    duality (Gelfand-Kapranov-Zelevinsky 1994, ch. 7) F is a face exactly
-    when 0 lies in the relative interior of {m_j : j not in F}, so the
-    facets are A minus {p, q} with m_p > 0 > m_q and A minus {z} with
-    m_z = 0.  The n points of A minus {p, q} are affinely independent: a
-    relation among them would be a multiple of m vanishing at p.
+    Requires affine_dim(A) == n and #A <= n+2.  The support analysis gives
+    the dimension and the affine relation m, zero for a simplex; every
+    relation of A is a multiple of m.  By Gale duality (Gelfand-Kapranov-
+    Zelevinsky 1994, ch. 7) F is a face exactly when 0 lies in the
+    relative interior of {m_j : j not in F}, so the facets are A minus
+    {p, q} with m_p > 0 > m_q and A minus {z} with m_z = 0.  Each normal
+    is w of the primitive affine_function with the facet_values.
     """
-    pts = list(A)
-    ker = _affine_relation(pts)
-    if len(pts) - 1 - len(ker) != n:
+    an = analyze_support(A)
+    if an.rank != n + 1:
         raise PreconditionError("support does not span full dimension")
-    if len(pts) > n + 2:
+    if len(an.points) > n + 2:
         raise PreconditionError("too many points for facet scan")
-    m = ker[0] if ker else [0] * len(pts)
-    return sorted(facet_normal(pts, out) for out in facet_complements(m))
+    m = an.kernel[0] if an.kernel else [0] * len(an.points)
+    return sorted(
+        affine_function(an, facet_values(m, out))[1] for out in facet_complements(m)
+    )
 
 
 def initial_form(f: SparsePolynomial, w) -> SparsePolynomial:

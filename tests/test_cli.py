@@ -309,3 +309,21 @@ def test_cli_imports_no_private_names():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+@pytest.mark.parametrize("command", [("feas", "--set", "positive"), ("topology",)])
+def test_witness_beyond_int_str_digit_limit(capsys, command):
+    # 5526 is the smallest exponent whose dominant-point coordinates pass
+    # the interpreter's 4300-digit int-to-str guard; the guard is lifted
+    # only while writing the output, and restored afterwards
+    limit = sys.get_int_max_str_digits()
+    expr = "1 - 3*x1^5526*x2 + x2^5526"
+    code = run([*command, "--expr", expr])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0 and len(lines) == 1
+    payload = json.loads(lines[0])
+    if command[0] == "feas":
+        assert payload["verdict"] == "nonempty"
+    else:
+        assert payload["classification"] == "ALL_NONCOMPACT" and "certificate" in payload
+    assert sys.get_int_max_str_digits() == limit

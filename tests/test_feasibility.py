@@ -1,6 +1,7 @@
 """Tests for the feasibility deciders and topology reports."""
 
 import itertools
+import json
 import random
 import sys
 from fractions import Fraction
@@ -8,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from sparsefeas import intlattice
+from sparsefeas.cli import run
 from sparsefeas.errors import PreconditionError
 from sparsefeas.feasibility import (
     ALL_NONCOMPACT,
@@ -24,10 +26,11 @@ from sparsefeas.feasibility import (
     reduce_dimension,
     topology_report,
 )
-from sparsefeas.geometry import initial_form
+from sparsefeas.geometry import facet_complements, find_circuit, initial_form
+from sparsefeas.intlattice import integer_kernel
 from sparsefeas.oracle import grid_scan, multiple_root_count, sturm_count
-from sparsefeas.sparsepoly import evaluate, make_polynomial, parse, support
-from test_geometry import _facet_scan_reference, _random_support
+from sparsefeas.sparsepoly import evaluate, make_polynomial, parse, support, to_text
+from test_geometry import _facet_normal_reference, _facet_scan_reference, _random_support
 
 
 def test_simplex_mixed_signs_nonempty():
@@ -192,7 +195,8 @@ def _count_hermite_calls(monkeypatch):
 
 
 def test_circuit_lattice_call_budget(monkeypatch):
-    # one kernel of the (1 | a_j) matrix, then one per mixed facet normal
+    # one Hermite factorization of the (1 | a_j) rows; every mixed facet
+    # normal is a back substitution against it
     f = parse("1 + x1 + x2 + x3 + x4 - 2*x1*x2*x3*x4")
     mixed = _mixed_facets(f)
     assert len(mixed) == 4
@@ -203,7 +207,142 @@ def test_circuit_lattice_call_budget(monkeypatch):
     calls.clear()
     rep = feas_circuit(f)
     assert rep.certificate == {"facet_normal": list(mixed[0])}
-    assert len(calls) <= 1 + len(mixed)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("call, text", [
+    (classify_positive, "x1 + 2*x2^3 - x1^2*x3 + 3*x3"),  # full simplex, mixed
+    (classify_positive, "1 + x1 + x2^2"),  # full simplex, odd-coordinate flip
+    (classify_positive, "1 + x1^4 + x2^4 - 3*x1*x2"),  # full circuit
+    (classify_positive, "1 + x1 + x2 + x3 + x4 - 2*x1*x2*x3*x4"),  # 4 mixed facets
+    (feas_real_full, "1 + x1 + x2^2"),  # full-dimensional simplex support
+    (feas_real_full, "x1^2 + x2^2 + 1"),
+    (topology_report, "1 + x1^4 + x2^4 - 3*x1*x2"),  # circuit
+])
+def test_one_hermite_factorization_per_support(monkeypatch, call, text):
+    f = parse(text)
+    calls = _count_hermite_calls(monkeypatch)
+    call(f)
+    assert len(calls) == 1
+
+
+def _dominant_point_reference(f, j):
+    """The dominant point by its own integer kernel: a vector (w, s) with
+    w . (a_i - a_j) = s for all i != j, s > 0."""
+    ej = f.terms[j].exponents
+    rows = [
+        [e - e0 for e, e0 in zip(t.exponents, ej)] + [-1]
+        for i, t in enumerate(f.terms)
+        if i != j
+    ]
+    *w, s = next(v for v in integer_kernel(rows) if v[-1] != 0)
+    if s < 0:
+        w = [-wk for wk in w]
+    t = Fraction(1, 1 + sum(abs(term.coefficient) for term in f.terms))
+    return tuple(t ** wk for wk in w)
+
+
+def _sign_change_pair_reference(f):
+    jp = next(i for i, t in enumerate(f.terms) if t.coefficient > 0)
+    jn = next(i for i, t in enumerate(f.terms) if t.coefficient < 0)
+    return _dominant_point_reference(f, jp), _dominant_point_reference(f, jn)
+
+
+def _facet_certificate_reference(f):
+    """The smallest normal, each by its own kernel, of the facets with n
+    terms and mixed signs; None when there is none."""
+    C, idx = find_circuit(support(f))
+    rel = dict(zip(idx, C.relation))
+    coeffs = [t.coefficient for t in f.terms]
+    normals = [
+        _facet_normal_reference(support(f), out)
+        for out in facet_complements([rel.get(j, 0) for j in range(len(coeffs))])
+        if len(out) == 2 and min(coeffs[j] for j in range(len(coeffs)) if j not in out) < 0
+        and max(coeffs[j] for j in range(len(coeffs)) if j not in out) > 0
+    ]
+    return {"facet_normal": list(min(normals))} if normals and f.n >= 2 else None
+
+
+def test_certificates_match_kernel_rules(capsys):
+    # full-dimensional supports: sign-change pairs and facet normals from
+    # the one factorization equal those of the per-point and per-facet
+    # kernels, in the library and in the CLI JSON
+    rng = random.Random(808)
+    checked = {"pair": 0, "flip": 0, "facet": 0}
+    for k in range(1000):
+        n = 1 + k % 5
+        kind = ("simplex", "circuit", "pyramid")[k % 3] if n > 1 else ("simplex", "circuit")[k % 2]
+        pts = _random_support(rng, n, kind)
+        f = make_polynomial(n, [(p, rng.randint(1, 9) * rng.choice((1, -1))) for p in pts])
+        cls, cert = classify_positive(f)
+        if kind == "simplex":
+            rep = feas_simplex(f)
+            if rep.positive_orthant == "nonempty":
+                expected, key = _sign_change_pair_reference(f), "pair"
+            elif rep.nonzero_reals == "nonempty":
+                # the pair of the polynomial flipped in the one negative
+                # coordinate, mapped back
+                i = next(i for i, v in enumerate(rep.certificate[0]) if v < 0)
+                flipped = make_polynomial(n, [
+                    (t.exponents, t.coefficient * (-1) ** (t.exponents[i] % 2)) for t in f.terms
+                ])
+                flip = lambda x: tuple(-v if c == i else v for c, v in enumerate(x))
+                p, q = _sign_change_pair_reference(flipped)
+                assert rep.certificate == (flip(p), flip(q)), str(f)
+                checked["flip"] += 1
+                continue
+            else:
+                continue
+        else:
+            expected, key = _facet_certificate_reference(f), "facet"
+            if expected is None:
+                continue
+        assert repr(cert) == repr(expected), str(f)
+        assert run(["feas", "--set", "positive", "--expr", to_text(f)]) == 0
+        witness = json.loads(capsys.readouterr().out)["witness"]
+        if key == "pair":
+            expected = [[str(v) for v in x] for x in expected]
+        assert witness == expected, str(f)
+        checked[key] += 1
+    assert min(checked.values()) > 50, checked
+
+
+def _lower_dimensional_simplex(rng):
+    """Affinely independent points spanning d < n dimensions: a simplex in
+    Z^d mapped into Z^n by a nonnegative integer matrix of rank d."""
+    while True:
+        n = rng.randint(2, 5)
+        d = rng.randint(1, n - 1)
+        M = [[rng.randint(0, 2) for _ in range(d)] for _ in range(n)]
+        base = {tuple(rng.randint(0, 3) for _ in range(d)) for _ in range(d + 1)}
+        pts = {tuple(sum(r * b for r, b in zip(row, p)) for row in M) for p in base}
+        if len(pts) != d + 1:
+            continue
+        f = make_polynomial(n, [(p, rng.randint(1, 9) * rng.choice((1, -1))) for p in pts])
+        if find_circuit(support(f)) is None and len(f.terms) < n + 1:
+            return f
+
+
+def test_lower_dimensional_simplex_witnesses_change_sign():
+    # free columns pick a different particular solution than the kernel
+    # rule did, so these witnesses are checked by exact evaluation
+    rng = random.Random(909)
+    seen = {"positive": 0, "nonzero": 0}
+    for _ in range(600):
+        f = _lower_dimensional_simplex(rng)
+        rep = feas_simplex(f)
+        assert (rep.classification, rep.certificate) == classify_positive(f)
+        if rep.nonzero_reals != "nonempty":
+            continue
+        p, q = rep.certificate
+        assert evaluate(f, p) * evaluate(f, q) < 0, str(f)
+        if rep.positive_orthant == "nonempty":
+            assert all(v > 0 for v in p + q), str(f)
+            seen["positive"] += 1
+        else:
+            assert all(v != 0 for v in p + q), str(f)
+            seen["nonzero"] += 1
+    assert min(seen.values()) > 50, seen
 
 
 @pytest.mark.parametrize(

@@ -8,8 +8,12 @@ import pytest
 from sparsefeas.errors import PreconditionError
 from sparsefeas.geometry import (
     affine_dim,
+    affine_function,
+    analyze_support,
     caged_alternation,
+    facet_complements,
     facet_normals,
+    facet_values,
     find_circuit,
     initial_form,
     interior_point,
@@ -46,6 +50,19 @@ def _facet_scan_reference(A, n):
         elif all(v <= 0 for v in vals) and any(v < 0 for v in vals):
             normals.add(tuple(-x for x in w))
     return sorted(normals)
+
+
+def _facet_normal_reference(A, out):
+    """Primitive inner normal of the facet Conv(A minus out) by its own
+    integer kernel: the kernel of the facet points' differences, oriented
+    positive at A[out[0]]."""
+    pts = list(A)
+    face = [p for j, p in enumerate(pts) if j not in out]
+    diffs = [[a - b for a, b in zip(p, face[0])] for p in face[1:]]
+    w = primitive_vector(integer_kernel(diffs)[0]) if diffs else [1]
+    if sum(wk * (a - b) for wk, a, b in zip(w, pts[out[0]], face[0])) < 0:
+        w = [-wk for wk in w]
+    return tuple(w)
 
 
 def _random_support(rng, n, kind):
@@ -138,6 +155,54 @@ def test_facet_normals_match_subset_scan():
         assert facet_normals(pts, n) == _facet_scan_reference(pts, n), pts
         kinds[kind] = kinds.get(kind, 0) + 1
     assert min(kinds.values()) >= 300
+
+
+def test_facet_normal_solves_match_kernel_rule():
+    # each facet's normal is one back substitution against the support's
+    # Hermite form; it must equal the facet's own kernel, oriented
+    rng = random.Random(4242)
+    facets = 0
+    for k in range(1000):
+        n = 1 + k % 5
+        kind = ("simplex", "circuit", "pyramid")[k % 3] if n > 1 else ("simplex", "circuit")[k % 2]
+        pts = _random_support(rng, n, kind)
+        an = analyze_support(pts)
+        assert an.rank == n + 1
+        # the relation as the (1 | a_j) kernel gives it, unnormalized
+        ker = integer_kernel([[1] * len(pts)] + [list(col) for col in zip(*pts)])
+        assert [list(row) for row in an.kernel] == ker
+        m = ker[0] if ker else [0] * len(pts)
+        for out in facet_complements(m):
+            c, w = affine_function(an, facet_values(m, out))
+            assert w == _facet_normal_reference(pts, out), (pts, out)
+            vals = [c + sum(wk * a for wk, a in zip(w, p)) for p in pts]
+            assert all(v == 0 for j, v in enumerate(vals) if j not in out)
+            assert all(vals[j] > 0 for j in out)
+            facets += 1
+    assert facets > 4000
+
+
+def test_affine_function_lower_dimensional():
+    # rank-deficient supports have free columns: the solver sets them to
+    # 0 and still meets every prescribed value, up to one positive factor
+    rng = random.Random(99)
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        d = rng.randint(1, n - 1)
+        M = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(n)]
+        base = [tuple(rng.randint(0, 4) for _ in range(d)) for _ in range(d + 1)]
+        pts = list({tuple(sum(r * b for r, b in zip(row, p)) for row in M) for p in base})
+        an = analyze_support(pts)
+        if an.kernel:
+            continue
+        values = [rng.randint(0, 5) for _ in pts]
+        if not any(values):
+            continue
+        c, w = affine_function(an, values)
+        got = [c + sum(wk * a for wk, a in zip(w, p)) for p in pts]
+        j = next(j for j, v in enumerate(values) if v)
+        assert got[j] * values[j] > 0
+        assert all(g * values[j] == v * got[j] for g, v in zip(got, values))
 
 
 def test_facet_normals_preconditions():
