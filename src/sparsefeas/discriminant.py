@@ -7,11 +7,11 @@ collapses to a difference of two monomial products:
     Delta = (prod_{m_j>0} m_j^{m_j}) (prod_{m_j<0} c_j^{|m_j|})
           - (prod_{m_j<0} |m_j|^{|m_j|}) (prod_{m_j>0} c_j^{m_j})
 
-so both the vanish test and the sign reduce to exactsign primitives and
-the products are never expanded.  When Delta vanishes, the unique
-degenerate point per orthant is cut out by the binomial system
-zeta^(a_i - a_1) = (m_i c_1)/(m_1 c_i), solved through a Smith
-factorization of the exponent-difference matrix.
+so both the vanish test and the sign reduce to exactsign primitives,
+which expand the products only when both are small (at most 2^12 bits).
+When Delta vanishes, the unique degenerate point per orthant is cut out
+by the binomial system zeta^(a_i - a_1) = (m_i c_1)/(m_1 c_i), solved
+through a Smith factorization of the exponent-difference matrix.
 """
 
 from __future__ import annotations

@@ -5,8 +5,17 @@ natural exponents u_i, v_i, what is the sign of
 
     prod_i alpha_i^{u_i}  -  prod_i beta_i^{v_i}
 
-without ever expanding the (potentially astronomically large) products?
-Equality is decided combinatorially through a gcd-free basis; strict
+when the products may be astronomically large?  Each product's bit size
+is bounded first by sum_i u_i * bitlength(alpha_i), without multiplying.
+When both bounds are at most ``_EXPAND_BITS`` = 2^12, the products are
+expanded and compared as integers.  That is the measured crossover for
+the case least favourable to expansion, small bases with large exponents
+(2 vCPUs, Python 3.11, cold log cache, first 32-bit enclosures
+deciding): 4,096-bit products expand in 40 us against 49 us for the
+logs, 16,384-bit ones in 363 us against 50 us.  Near ties favour
+expansion at any size, since the logs then need several precision
+doublings and a gcd-free basis.  Above the gate nothing is expanded:
+equality is decided combinatorially through a gcd-free basis, and strict
 inequality through interval enclosures of logarithms at adaptively
 doubled precision.  Refinement terminates because two unequal products
 of integers cannot have arbitrarily close logarithms.
@@ -34,12 +43,14 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from .errors import PreconditionError, PrecisionLimitError
 
 _MAX_BITS_ENV = "FEWNO_MAX_BITS"
 _DEFAULT_MAX_BITS = 1 << 20
+# products whose bit-size bounds are both at most this are expanded
+_EXPAND_BITS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -122,13 +133,32 @@ def _check_product_lists(alphas, betas, us, vs):
             raise PreconditionError("0^0 term is not defined")
 
 
+def _expandable(bases, exps) -> bool:
+    """Whether prod bases^exps has a bit-size bound of at most _EXPAND_BITS,
+    without multiplying; bases of magnitude <= 1 contribute nothing."""
+    total = 0
+    for base, exp in zip(bases, exps):
+        if abs(base) > 1:
+            total += exp * abs(base).bit_length()
+            if total > _EXPAND_BITS:
+                return False
+    return True
+
+
+def _expand(bases, exps) -> int:
+    return prod(base**exp for base, exp in zip(bases, exps))
+
+
 def binomial_vanish(alphas, betas, us, vs) -> bool:
     """Whether prod alpha_i^{u_i} equals prod beta_i^{v_i} as integers.
 
-    Decided without expanding: sign parity first, then comparison of
-    exponent vectors over a common gcd-free basis of the magnitudes.
+    Small products are expanded; larger ones are decided without
+    expanding: sign parity first, then comparison of exponent vectors over
+    a common gcd-free basis of the magnitudes.
     """
     _check_product_lists(alphas, betas, us, vs)
+    if _expandable(alphas, us) and _expandable(betas, vs):
+        return _expand(alphas, us) == _expand(betas, vs)
     left_zero = any(a == 0 and u > 0 for a, u in zip(alphas, us))
     right_zero = any(b == 0 and v > 0 for b, v in zip(betas, vs))
     if left_zero or right_zero:
@@ -259,14 +289,25 @@ def _fixed_sum(terms, scale):
 def binomial_sign(alphas, betas, us, vs) -> int:
     """Exact sign of prod alpha_i^{u_i} - prod beta_i^{v_i}, bases >= 1.
 
-    Interval arithmetic on the logarithms at doubling precision; ties are
-    broken exactly by binomial_vanish, so 0 is returned iff the products
-    are equal.  Raises PrecisionLimitError past the FEWNO_MAX_BITS budget.
+    Products of at most _EXPAND_BITS bits are expanded and compared.
+    Larger ones go to interval arithmetic on the logarithms at doubling
+    precision, with ties broken exactly by binomial_vanish, so 0 is
+    returned iff the products are equal.  Raises PrecisionLimitError past
+    the FEWNO_MAX_BITS budget.
     """
     _check_product_lists(alphas, betas, us, vs)
     if any(a < 1 for a in alphas) or any(b < 1 for b in betas):
         raise PreconditionError("binomial_sign requires bases >= 1")
     max_bits = _max_bits()
+    if _expandable(alphas, us) and _expandable(betas, vs):
+        left, right = _expand(alphas, us), _expand(betas, vs)
+        return (left > right) - (left < right)
+    return _log_sign(alphas, betas, us, vs, max_bits)
+
+
+def _log_sign(alphas, betas, us, vs, max_bits) -> int:
+    """binomial_sign by certified logs: enclosures at 32, 64, ... bits up
+    to max_bits, and one binomial_vanish call once they first overlap."""
     bits = 32
     checked_equal = False
     while True:

@@ -242,10 +242,14 @@ def exact_product_compare(alphas, betas, us, vs) -> int:
     """Sign of prod alpha^u - prod beta^v by full expansion, guarded.
 
     Bases are limited to |.| <= 10^3 and exponents to 10^4 so that the
-    expansion stays tractable; ScaleLimitError beyond that.
+    expansion stays tractable; ScaleLimitError beyond that.  A 0^0 term is
+    undefined and raises PreconditionError.
     """
     if not (len(alphas) == len(betas) == len(us) == len(vs)):
         raise PreconditionError("list length mismatch")
+    for base, e in zip(list(alphas) + list(betas), list(us) + list(vs)):
+        if base == 0 and e == 0:
+            raise PreconditionError("0^0 term is not defined")
     for base in list(alphas) + list(betas):
         if abs(base) > 1000:
             raise ScaleLimitError("base exceeds the expansion guard")

@@ -260,6 +260,16 @@ def test_oracle_product(capsys):
     assert payload["sign"] == 1
 
 
+def test_oracle_product_rejects_zero_to_the_zero(capsys):
+    code = run([
+        "oracle", "product", "--alphas", "0", "--betas", "1", "--us", "0", "--vs", "1",
+    ])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "0^0" in captured.err
+
+
 @pytest.mark.parametrize("argv, named", [
     (["reduce", "sat3"], "--dimacs"),
     (["reduce", "sat3", "--dimacs", "{cnf}"], "p cnf"),

@@ -16,6 +16,7 @@ from sparsefeas.exactsign import (
     gcd_free_basis,
     log_interval,
 )
+from sparsefeas.oracle import exact_product_compare
 
 LOG_BITS = (1, 8, 32, 64, 128, 256, 1024, 2048)
 
@@ -190,10 +191,13 @@ def test_binomial_sign_precision_limit(monkeypatch):
     # equal products short-circuit through the exact equality check
     monkeypatch.setenv("FEWNO_MAX_BITS", "64")
     assert binomial_sign([2], [4], [2], [1]) == 0
-    # unequal but extremely close: a tiny budget cannot separate the logs
+    # products small enough to expand are decided exactly under any budget
     monkeypatch.setenv("FEWNO_MAX_BITS", "32")
+    assert binomial_sign([2**200 + 1], [2**200 - 1], [5], [5]) == 1
+    # unequal but extremely close, and too large to expand (25,005 bits
+    # each): a tiny budget cannot separate the logs
     with pytest.raises(PrecisionLimitError) as info:
-        binomial_sign([2**200 + 1], [2**200 - 1], [5], [5])
+        binomial_sign([2**5000 + 1], [2**5000 - 1], [5], [5])
     # the error carries the last precision and the last enclosure overlap
     exc = info.value
     assert exc.bits == 32
@@ -206,7 +210,7 @@ def test_binomial_sign_precision_limit(monkeypatch):
     assert Fraction(2) ** (bound - 2) <= exc.gap < Fraction(2) ** bound
     monkeypatch.setenv("FEWNO_MAX_BITS", "100")
     with pytest.raises(PrecisionLimitError) as info:
-        binomial_sign([2**200 + 1], [2**200 - 1], [5], [5])
+        binomial_sign([2**5000 + 1], [2**5000 - 1], [5], [5])
     assert info.value.bits == 64
 
 
@@ -215,3 +219,199 @@ def test_binomial_sign_rejects_malformed_max_bits(monkeypatch, value):
     monkeypatch.setenv("FEWNO_MAX_BITS", value)
     with pytest.raises(PreconditionError, match="FEWNO_MAX_BITS"):
         binomial_sign([2], [3], [2], [1])
+
+
+# ---------------------------------------------------------------------------
+# the certified-log path, driven directly, against the expanding oracle
+
+_PRIMES = [p for p in range(2, 1000) if all(p % q for q in range(2, int(p**0.5) + 1))]
+
+# k - j, k and k + j are all 1000-smooth (found by a sieve near 2^40), so
+# b = 2k, a = k - j, c = k + j give b^2 - 4ac = 4 j^2 with 41-bit
+# coefficients whose factorizations stay inside the oracle's base guard
+_SMOOTH_PROGRESSIONS = [
+    (1099511737200, 4), (1099519538125, 5), (1099522126084, 4),
+    (1099522642660, 5), (1099527144460, 4), (1099527845520, 6),
+    (1099514493872, 8), (1099524897350, 10),
+]
+
+
+def _factored(n):
+    """(primes, exponents) of a 1000-smooth n >= 1."""
+    primes, exps = [], []
+    for p in _PRIMES:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            primes.append(p)
+            exps.append(e)
+    assert n == 1
+    return primes, exps
+
+
+def _product_pair(left, right):
+    """binomial_sign arguments comparing the smooth integers left, right.
+
+    Both sides list the same primes, so the lists share a length."""
+    lp, le = _factored(left)
+    rp, re_ = _factored(right)
+    primes = sorted(set(lp) | set(rp))
+    us = [le[lp.index(p)] if p in lp else 0 for p in primes]
+    vs = [re_[rp.index(p)] if p in rp else 0 for p in primes]
+    return primes, list(primes), us, vs
+
+
+def _smooth(rng, bits):
+    n = 1
+    while n.bit_length() < bits:
+        n *= rng.choice(_PRIMES)
+    return n
+
+
+def _near_ties(seed, count):
+    """Near ties b^2 vs 4ac like the benchmark's: 41- to 121-bit 1000-smooth
+    coefficients, a progression above scaled by a smooth t, so the gap is
+    4 t^2 j^2 and the relative gap below 2^-73; every fourth one is an
+    exact tie b = 2suv, a = su^2, c = sv^2."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        if i % 4 == 3:
+            s, u, v = _smooth(rng, 8), _smooth(rng, rng.randint(20, 56)), _smooth(rng, 40)
+            b, a, c = 2 * s * u * v, s * u * u, s * v * v
+        else:
+            k, j = rng.choice(_SMOOTH_PROGRESSIONS)
+            t = _smooth(rng, rng.randint(0, 80))
+            b, a, c = 2 * t * k, t * (k - j), t * (k + j)
+        left, right = b * b, 4 * a * c
+        out.append((left, right) if rng.random() < 0.5 else (right, left))
+    return out
+
+
+def test_log_sign_matches_oracle():
+    rng = random.Random(19)
+    cases = []
+    for _ in range(150):  # the kind of test_binomial_sign_matches_exact_small
+        k = rng.randint(1, 3)
+        cases.append((
+            [rng.randint(1, 50) for _ in range(k)], [rng.randint(1, 50) for _ in range(k)],
+            [rng.randint(0, 6) for _ in range(k)], [rng.randint(0, 6) for _ in range(k)],
+        ))
+    cases.append(([3], [2], [400], [634]))
+    cases += [_product_pair(left, right) for left, right in _near_ties(20, 40)]
+    signs = set()
+    for alphas, betas, us, vs in cases:
+        truth = exact_product_compare(alphas, betas, us, vs)
+        got = exactsign._log_sign(alphas, betas, us, vs, exactsign._DEFAULT_MAX_BITS)
+        assert got == truth, (alphas, betas, us, vs)
+        assert binomial_sign(alphas, betas, us, vs) == truth
+        signs.add(truth)
+    assert signs == {-1, 0, 1}
+
+
+def test_near_ties_need_refinement():
+    # the near ties are genuine close calls: 32-bit logs cannot split them
+    for left, right in _near_ties(21, 12):
+        if left == right:
+            continue
+        with pytest.raises(PrecisionLimitError):
+            exactsign._log_sign(*_product_pair(left, right), 32)
+
+
+def _count_log_sign(monkeypatch):
+    calls = []
+    real = exactsign._log_sign
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(exactsign, "_log_sign", counted)
+    return calls
+
+
+def _count_gcd_free_basis(monkeypatch):
+    calls = []
+    real = exactsign.gcd_free_basis
+
+    def counted(values):
+        calls.append(values)
+        return real(values)
+
+    monkeypatch.setattr(exactsign, "gcd_free_basis", counted)
+    return calls
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_expansion_gate_boundary(monkeypatch, offset):
+    # products 5^x 7^y 3^e with x + y = N have the bit-size bound
+    # 3N + 2e = gate + offset (5 and 7 have bit length 3, 3 has 2)
+    gate = exactsign._EXPAND_BITS
+    assert gate == 1 << 12
+    target = gate + offset
+    e = 2 * target % 3
+    n = (target - 2 * e) // 3
+    logs = _count_log_sign(monkeypatch)
+    bases = _count_gcd_free_basis(monkeypatch)
+    rng = random.Random(22 + offset)
+    x = rng.randint(0, n)
+    alphas, us = [5, 7, 3], [x, n - x, e]
+    rights = [us]
+    for _ in range(20):
+        m = rng.randint(0, 3)
+        x2 = rng.randint(0, n - 2 * m)
+        rights.append([x2, n - 2 * m - x2, e + 3 * m])
+    signs = set()
+    for vs in rights:
+        truth = exact_product_compare(alphas, alphas, us, vs)
+        assert binomial_sign(alphas, alphas, us, vs) == truth
+        assert binomial_vanish(alphas, alphas, us, vs) == (truth == 0)
+        signs.add(truth)
+    assert signs == {-1, 0, 1}
+    # at and below the gate both sides expand; one unit above it, logs
+    # decide the sign and a gcd-free basis decides equality
+    assert bool(logs) == (offset > 0)
+    assert bool(bases) == (offset > 0)
+    # a factor 2 lifts the left bound by 2, past the gate: one side above
+    # it is enough to leave expansion
+    del logs[:]
+    small = [0, 0, 0, 1]
+    assert binomial_sign(alphas + [2], [5, 7, 3, 2], us + [1], small) == 1
+    assert binomial_sign([5, 7, 3, 2], alphas + [2], small, us + [1]) == -1
+    assert len(logs) == 2
+
+
+def test_binomial_vanish_expands_signed_and_zero_bases(monkeypatch):
+    bases = _count_gcd_free_basis(monkeypatch)
+    assert binomial_vanish([-3, 2], [-6, 1], [3, 3], [3, 5])
+    assert not binomial_vanish([-3, 2], [6, 1], [3, 3], [3, 5])
+    assert binomial_vanish([0, 5], [7, 0], [1, 2], [3, 4])
+    assert not binomial_vanish([0, 5], [7, 1], [1, 2], [3, 4])
+    assert bases == []
+
+
+def test_huge_exponents_never_expand(monkeypatch):
+    # exponents near 2^62, as in the huge trinomial discriminants
+    def no_expand(bases, exps):
+        raise AssertionError("expanded a product with huge exponents")
+
+    monkeypatch.setattr(exactsign, "_expand", no_expand)
+    logs = _count_log_sign(monkeypatch)
+    rng = random.Random(23)
+    for _ in range(10):
+        u = rng.randint(2**61, 2**62)
+        alphas = [rng.randint(2, 2**16), 1]
+        betas = [rng.randint(2, 2**16), rng.randint(2, 9)]
+        us, vs = [u, 1], [u, rng.randint(1, 3)]
+        sign = binomial_sign(alphas, betas, us, vs)
+        assert sign == ((alphas[0] > betas[0]) - (alphas[0] < betas[0]) or -1)
+        assert binomial_vanish(alphas, betas, us, vs) == (sign == 0)
+    assert len(logs) == 10
+    # a huge power on either side against a small product
+    assert binomial_sign([2], [3], [2**62], [1]) == 1
+    assert binomial_sign([3], [2], [1], [2**62]) == -1
+    assert not binomial_vanish([3], [2], [1], [2**62])
+    assert not binomial_vanish([2], [1], [2**62], [2**62])
+    assert len(logs) == 12

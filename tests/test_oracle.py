@@ -1,11 +1,13 @@
 """Tests for the independent brute-force verification tools."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from sparsefeas.errors import ScaleLimitError
+from sparsefeas.errors import PreconditionError, ScaleLimitError
 from sparsefeas.oracle import (
     exact_product_compare,
     grid_scan,
@@ -117,3 +119,46 @@ def test_exact_product_compare_guards():
         exact_product_compare([2000], [3], [2], [2])
     with pytest.raises(ScaleLimitError):
         exact_product_compare([2], [3], [100001], [2])
+
+
+def test_exact_product_compare_rejects_zero_to_the_zero():
+    with pytest.raises(PreconditionError, match="0\\^0"):
+        exact_product_compare([0], [1], [0], [1])
+    with pytest.raises(PreconditionError, match="0\\^0"):
+        exact_product_compare([2, 3], [5, 0], [1, 1], [1, 0])
+    # 0^u with u > 0 is an ordinary zero factor
+    assert exact_product_compare([0], [1], [1], [1]) == -1
+    assert exact_product_compare([0, 2], [0, 3], [2, 1], [1, 0]) == 0
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "sparsefeas"
+
+
+def _package_imports(name):
+    """The sparsefeas modules that sparsefeas/<name>.py imports."""
+    found = set()
+    for node in ast.walk(ast.parse((SRC / f"{name}.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            if node.level and node.module is None:  # from . import x
+                found.update(alias.name for alias in node.names)
+            elif node.level or (node.module or "").startswith("sparsefeas."):
+                found.add(node.module.split(".")[-1])
+            elif node.module == "sparsefeas":
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(
+                alias.name.split(".")[1]
+                for alias in node.names
+                if alias.name.startswith("sparsefeas.")
+            )
+    return found
+
+
+def test_checker_and_deciders_share_no_code():
+    # both expand products now; the checker must stay independent
+    assert "oracle" not in _package_imports("exactsign")
+    deciders = {"exactsign", "discriminant", "geometry", "feasibility", "intlattice"}
+    assert _package_imports("oracle") & deciders == set()
+    # the helper does see the imports it is meant to catch
+    assert {"errors", "sparsepoly"} <= _package_imports("oracle")
+    assert {"exactsign", "geometry", "intlattice"} <= _package_imports("discriminant")
