@@ -30,7 +30,6 @@ from .feasibility import (
     feas_circuit,
     feas_real_full,
     feas_simplex,
-    reduce_dimension,
     topology_report,
 )
 from .discriminant import (

@@ -7,10 +7,18 @@ Three root sets of f are decided exactly:
 * Z_R(f): all real roots,
 
 for supports that are affinely independent (simplex case, #Supp = dim+1)
-or contain a single circuit (#Supp = dim+2).  The positive-orthant
-classification goes beyond a verdict: it reports whether Z_+ is empty, a
-single point, a singular point, a compact sphere, or has only
-non-compact components.
+or contain a single circuit (#Supp = dim+2), where dim is the dimension
+of the support's own affine span, whatever the number n of variables.
+The positive-orthant classification goes beyond a verdict: it reports
+whether Z_+ is empty, a single point, a singular point, a compact sphere,
+or has only non-compact components.
+
+A circuit support of d + 2 points is decided by one rule over its single
+affine relation m, the coefficient signs on the Gale-dual facets and one
+discriminant sign, all read off one Hermite factorization of the support
+(geometry.analyze_support).  None of these depends on n: when d < n,
+Z_+(f) is the zero set in the support's span times R_+^(n - d), so a
+nonempty class is ALL_NONCOMPACT and its certificate is computed in R^n.
 
 Z* and Z_R reduce to positive-orthant questions on the strata of R^n (a
 set of zero coordinates and an orthant of the rest).  A stratum matters
@@ -28,11 +36,11 @@ from typing import Optional
 from .errors import PreconditionError
 from .discriminant import (
     CircuitDiscriminant,
-    DegeneratePoint,
     adisc_sign,
     degenerate_point,
 )
 from .geometry import (
+    CircuitData,
     SupportAnalysis,
     affine_function,
     analyze_support,
@@ -41,7 +49,6 @@ from .geometry import (
     facet_values,
     interior_point,
 )
-from .intlattice import hermite_factor
 from .sparsepoly import SparsePolynomial, make_polynomial
 
 EMPTY = "EMPTY"
@@ -67,13 +74,6 @@ class FeasibilityReport:
     all_reals: Optional[str]
     classification: str
     certificate: object = None
-
-
-def _translated_exponents(f: SparsePolynomial):
-    """Exponent vectors relative to the first support point (which becomes
-    the origin); harmless on the open orthants where monomials are units."""
-    base = f.terms[0].exponents
-    return [tuple(e - b for e, b in zip(t.exponents, base)) for t in f.terms]
 
 
 def _dominant_point(f: SparsePolynomial, j: int, an: SupportAnalysis):
@@ -111,18 +111,13 @@ def feas_simplex(f: SparsePolynomial, an: SupportAnalysis | None = None) -> Feas
         cls = POINT_MULT_1 if f.n == 1 and len(coeffs) == 2 else ALL_NONCOMPACT
         cert = _sign_change_pair(f, an)
         return FeasibilityReport("nonempty", "nonempty", "nonempty", cls, cert)
-    exps = _translated_exponents(f)
-    odd = None
-    for j in range(1, len(exps)):
-        for i in range(f.n):
-            if exps[j][i] % 2 == 1:
-                odd = (i, j)
-                break
-        if odd:
-            break
-    if odd is not None:
+    base = f.terms[0].exponents
+    odd = (
+        i for t in f.terms for i, (e, b) in enumerate(zip(t.exponents, base)) if (e - b) % 2
+    )
+    i = next(odd, None)
+    if i is not None:
         # flipping coordinate i mixes the signs there, on the same support
-        i = odd[0]
         flipped = make_polynomial(
             f.n,
             [
@@ -145,168 +140,111 @@ def feas_simplex(f: SparsePolynomial, an: SupportAnalysis | None = None) -> Feas
     return FeasibilityReport("empty", "empty", "empty", EMPTY)
 
 
-def reduce_dimension(f: SparsePolynomial):
-    """Rewrite f in dim Supp(f) variables via a unimodular substitution.
+def _circuit_class(C: CircuitData, m, coeffs):
+    """The class of Z_+ for ``coeffs`` on d + 2 points whose one affine
+    relation is ``m`` (zero off the circuit C), in their own span of
+    dimension d, with what certifies it: the mixed facet complements
+    (step 1), the discriminant (a singular point), or None."""
+    # Step 1: the d-term facets A minus {p, q}, m_p > 0 > m_q; a face of
+    # one term (d = 1) never mixes
+    mixed = []
+    for out in facet_complements(m):
+        face = [c for j, c in enumerate(coeffs) if j not in out]
+        if len(out) == 2 and min(face) < 0 < max(face):
+            mixed.append(out)
+    if mixed:
+        return ALL_NONCOMPACT, mixed
 
-    Returns (g, U): the exponents of f, translated to the first support
-    point, are mapped by a -> U a into Z^d x {0}, and g keeps the same
-    coefficients.  Root sets in the open orthants correspond exactly.
-    """
-    exps = _translated_exponents(f)
-    H, U = hermite_factor([[e[i] for e in exps] for i in range(f.n)])
-    d = sum(1 for row in H if any(row))  # the rank: the affine dimension
-    if d >= f.n:
-        raise PreconditionError("support already spans full dimension")
-    g = make_polynomial(
-        max(d, 1),
-        [
-            (tuple(H[r][col] for r in range(max(d, 1))), f.terms[col].coefficient)
-            for col in range(len(exps))
-        ],
-    )
-    return g, U
+    # Step 2: a pyramid over the circuit terms
+    idx = [j for j, v in enumerate(m) if v]
+    if len(idx) < len(m):
+        base, _ = _circuit_class(C, [m[j] for j in idx], [coeffs[j] for j in idx])
+        if base in (ALL_NONCOMPACT, COMPACT_SPHERE):
+            return NONEMPTY_UNCLASSIFIED, None
+        return EMPTY, None
+
+    # Step 3: the whole support is the circuit
+    ip = interior_point(C)
+    if ip is not None:
+        signs = [1 if c > 0 else -1 for c in coeffs]
+        ends = [s for k, s in enumerate(signs) if k != ip]
+        if len(coeffs) == 3 and ends[0] != ends[1]:
+            return POINT_MULT_1, None  # d = 1: the segment's ends differ
+        if caged_alternation(C, signs) is not None:
+            if signs[ip] > 0:
+                coeffs = [-c for c in coeffs]
+            D = CircuitDiscriminant(C, tuple(coeffs))
+            sign = adisc_sign(D)
+            if sign == 0:
+                return SINGULAR_POINT, D
+            if sign == (1 if C.relation[ip] % 2 == 0 else -1):
+                return COMPACT_SPHERE, None
+    return EMPTY, None
 
 
-def _pull_back_point(point, U, n):
-    """Map a positive rational point of the reduced instance back through
-    the substitution with matrix U (x_j = prod_i y_i^{U[i][j]})."""
-    y = list(point) + [Fraction(1)] * (n - len(point))
-    out = []
-    for j in range(n):
-        v = Fraction(1)
-        for i in range(n):
-            e = U[i][j]
-            if e:
-                v *= Fraction(y[i]) ** e
-        out.append(v)
-    return tuple(out)
-
-
-def _lift(U, v):
-    """U^T (v, 0, ..., 0): an exponent-space vector of the reduced instance
-    (a weight, or the log-coordinates of a point) pulled back through U."""
-    return [sum(U[i][j] * vi for i, vi in enumerate(v)) for j in range(len(U))]
-
-
-def _pull_back(cert, U, n):
-    """Map a circuit certificate of the reduced instance back to Z_+(f)."""
-    if isinstance(cert, DegeneratePoint):
-        cols = [_lift(U, col) for col in zip(*cert.mixing)]
-        mixing = tuple(tuple(col[j] for col in cols) for j in range(n))
-        coords = cert.coordinates
-        if coords is not None:
-            coords = _pull_back_point(coords, U, n)
-        return DegeneratePoint(cert.rhos, cert.orders, mixing, coords)
-    if isinstance(cert, dict):
-        return {"facet_normal": _lift(U, cert["facet_normal"])}
-    return cert
+def _circuit_relation(an: SupportAnalysis):
+    """The circuit C of a support and its relation m over every point."""
+    C, idx = an.circuit
+    m = [0] * len(an.points)
+    for j, v in zip(idx, C.relation):
+        m[j] = v
+    return C, m
 
 
 def classify_positive(f: SparsePolynomial, an: SupportAnalysis | None = None):
-    """(classification, certificate) for Z_+(f), dispatching on the support
-    shape: a simplex goes to feas_simplex, a circuit to feas_circuit.
-    ``an`` is the support's analysis, when the caller has it.
-
-    A circuit support of affine dimension d < n is first reduced to d
-    variables.  Z_+(f) is then Z_+(g) x R_+^(n-d), so every nonempty
-    class becomes ALL_NONCOMPACT, and the certificate is pulled back.
-    """
+    """(classification, certificate) for Z_+(f): a simplex support goes to
+    feas_simplex, anything else to feas_circuit.  ``an`` is the support's
+    analysis, when the caller has it."""
     an = an or analyze_support(t.exponents for t in f.terms)
-    if len(f.terms) > an.rank + 1:
-        raise PreconditionError("more than dim + 2 support points")
-    if len(f.terms) == an.rank:
-        rep = feas_simplex(f, an)
-        return rep.classification, rep.certificate
-    if an.rank <= f.n:
-        g, U = reduce_dimension(f)
-        rep = feas_circuit(g)
-        cls = EMPTY if rep.classification == EMPTY else ALL_NONCOMPACT
-        return cls, _pull_back(rep.certificate, U, f.n)
-    rep = feas_circuit(f, an)
+    rep = feas_simplex(f, an) if len(f.terms) == an.rank else feas_circuit(f, an)
     return rep.classification, rep.certificate
 
 
 def feas_circuit(f: SparsePolynomial, an: SupportAnalysis | None = None) -> FeasibilityReport:
-    """Classify Z_+(f) for a support of n + 2 points spanning R^n.
+    """Classify Z_+(f) for a support A of d + 2 points spanning dimension d.
 
     The support analysis ``an`` (built here when the caller has none)
-    gives the affine relation m of the support (one of lower dimension
-    has two, and raises PreconditionError).  Step 1: by Gale duality (see
-    facet_normals) the facets of n terms are A minus {p, q} with
-    m_p > 0 > m_q, affinely independent since a relation among them would
-    be a multiple of m vanishing at p; the apex facets have n + 1 terms.
-    A simplex face with mixed signs makes a non-compact branch, certified
-    by the smallest such facet normal: the affine function with the
-    facet_values -m_q at p and m_p at q, one back substitution each.
-    Step 2: a degenerate circuit recurses on the circuit terms in the
-    dimension they span.  Step 3: a caged sign alternation routes through
-    the circuit discriminant (vanishing: one singular point; matching
-    sign: a compact sphere).  Everything else is empty.
+    gives the one affine relation m of A; more points raise
+    PreconditionError.  The class depends only on m and the coefficients,
+    so it is decided in A's own span.
+
+    Step 1: by Gale duality (see facet_normals) the facets of d terms are
+    A minus {p, q} with m_p > 0 > m_q.  One with mixed signs makes a
+    non-compact branch, certified by the smallest such facet normal: the
+    affine function with the facet_values -m_q at p and m_p at q.
+
+    Step 2: in a pyramid (some m_j = 0) that step 1 leaves, the apexes
+    have the sign s of the circuit's vertices.  A monomial change of
+    variables on the open orthant writes f as g(y) + sum_j c_j z_j, with
+    g the circuit terms, so Z_+ is a graph, or an open-simplex bundle,
+    over {-s g > 0}.  It is nonempty exactly when g alone is
+    ALL_NONCOMPACT or COMPACT_SPHERE (reported NONEMPTY_UNCLASSIFIED).
+
+    Step 3: for d = 1 the segment's two ends of different signs give one
+    simple root.  Otherwise a caged sign alternation routes through the
+    circuit discriminant (vanishing: one singular point, certified by
+    degenerate_point; matching sign: a compact sphere).  Everything else
+    is empty.
+
+    Z_+(f) is the zero set in A's span times R_+^(n - d), so when d < n
+    every nonempty class becomes ALL_NONCOMPACT, with the same
+    certificate, computed in R^n.
     """
-    n = f.n
-    if len(f.terms) != n + 2:
-        raise PreconditionError("circuit case needs exactly dim + 2 terms")
     an = an or analyze_support(t.exponents for t in f.terms)
-    exps = _translated_exponents(f)
-    coeffs = [t.coefficient for t in f.terms]
-    C, idx = an.circuit
-    rel = dict(zip(idx, C.relation))
-
-    # Step 1: a mixed n-term facet; its normal certifies the branch
-    if n >= 2:
-        m = [rel.get(j, 0) for j in range(n + 2)]
-        normals = []
-        for out in facet_complements(m):
-            face = [c for j, c in enumerate(coeffs) if j not in out]
-            if len(face) == n and min(face) < 0 < max(face):
-                normals.append(affine_function(an, facet_values(m, out))[1])
-        if normals:
-            cert = {"facet_normal": list(min(normals))}
-            return FeasibilityReport("nonempty", None, None, ALL_NONCOMPACT, cert)
-
-    # Step 2: degenerate circuit -> classify the circuit terms alone, in
-    # the dimension they span
-    if len(idx) < len(exps):
-        if interior_point(C) is not None:
-            h = make_polynomial(n, [(exps[i], coeffs[i]) for i in idx])
-            cls = feas_circuit(reduce_dimension(h)[0]).classification
-            if cls in (ALL_NONCOMPACT, COMPACT_SPHERE, NONEMPTY_UNCLASSIFIED):
-                return FeasibilityReport(
-                    "nonempty", None, None, NONEMPTY_UNCLASSIFIED
-                )
-        return FeasibilityReport("empty", None, None, EMPTY)
-
-    # Step 3: the whole support is a circuit
-    ip = interior_point(C)
-    if ip is not None:
-        signs = [1 if coeffs[i] > 0 else -1 for i in idx]
-        if n == 1:
-            order = sorted(range(len(idx)), key=lambda k: exps[idx[k]][0])
-            seq = [signs[k] for k in order]
-            alternations = sum(
-                1 for a, b in zip(seq, seq[1:]) if a != b
-            )
-            if alternations == 1:
-                return FeasibilityReport("nonempty", None, None, POINT_MULT_1)
-        if caged_alternation(C, signs) is not None:
-            ccoeffs = [coeffs[i] for i in idx]
-            if any(signs[j] < 0 for j in range(len(idx)) if j != ip):
-                ccoeffs = [-c for c in ccoeffs]
-            D = CircuitDiscriminant(C, tuple(ccoeffs))
-            sign = adisc_sign(D)
-            if sign == 0:
-                dp = degenerate_point(D)
-                return FeasibilityReport(
-                    "nonempty", None, None, SINGULAR_POINT, dp
-                )
-            target = 1 if C.relation[ip] % 2 == 0 else -1
-            if sign == target:
-                return FeasibilityReport(
-                    "nonempty", None, None, COMPACT_SPHERE
-                )
-
-    # Step 4
-    return FeasibilityReport("empty", None, None, EMPTY)
+    if not an.circuit:  # more than dim + 2 points raise here as well
+        raise PreconditionError("circuit case needs exactly dim + 2 terms")
+    C, m = _circuit_relation(an)
+    cls, why = _circuit_class(C, m, [t.coefficient for t in f.terms])
+    cert = None
+    if cls == ALL_NONCOMPACT:
+        normals = [affine_function(an, facet_values(m, out))[1] for out in why]
+        cert = {"facet_normal": list(min(normals))}
+    elif cls == SINGULAR_POINT:
+        cert = degenerate_point(why)
+    if cls != EMPTY and an.rank <= f.n:
+        cls = ALL_NONCOMPACT
+    verdict = "empty" if cls == EMPTY else "nonempty"
+    return FeasibilityReport(verdict, None, None, cls, cert)
 
 
 def feas_real_full(f: SparsePolynomial) -> FeasibilityReport:
@@ -320,9 +258,11 @@ def feas_real_full(f: SparsePolynomial) -> FeasibilityReport:
     holding every term supported inside their own union of supports.  An
     empty T (no constant term) is a root at the origin.  A T without the
     circuit is affinely independent, so it has roots exactly when some
-    reachable sign vector is mixed.  Only a T holding the circuit asks
-    classify_positive, once per reachable sign vector up to negation.
-    Z* is the question on T = all terms; Z_R adds the proper closed T.
+    reachable sign vector is mixed.  A T holding the circuit has the one
+    relation m restricted to T, so the circuit rule decides it from that
+    and the signed |c_j|, once per reachable sign vector up to negation,
+    without building a polynomial.  Z* is the question on T = all terms;
+    Z_R adds the proper closed T.
     """
     if f.is_laurent:
         raise PreconditionError("real-set dispatch requires polynomial exponents")
@@ -340,7 +280,8 @@ def feas_real_full(f: SparsePolynomial) -> FeasibilityReport:
     neg = mask(lambda t: t.coefficient < 0)
     parity = [mask(lambda t: t.exponents[i] % 2) for i in range(f.n)]
     supp = [sum(1 << i for i, e in enumerate(t.exponents) if e) for t in terms]
-    circuit = sum(1 << j for j in an.circuit[1]) if an.circuit else None
+    C, m = _circuit_relation(an) if an.circuit else (None, [0] * len(terms))
+    circuit = sum(1 << j for j, v in enumerate(m) if v)  # 0 for a simplex
 
     def has_roots(T, known_empty=None):
         """Whether the terms T have a root in some open orthant, given the
@@ -353,16 +294,15 @@ def feas_real_full(f: SparsePolynomial) -> FeasibilityReport:
                 flips |= {v ^ (col & T) for v in flips}
         classes = {min(x, x ^ T) for x in ((neg ^ v) & T for v in flips)}
         classes -= {0, known_empty}  # class 0: one sign throughout, no root
-        if circuit is None or circuit & T != circuit:
+        if not circuit or circuit & T != circuit:
             return bool(classes)  # a simplex has roots iff its signs mix
-        for x in classes:
-            g = make_polynomial(f.n, [
-                (t.exponents, (-1) ** (x >> j & 1) * abs(t.coefficient))
-                for j, t in enumerate(terms) if T >> j & 1
-            ])
-            if classify_positive(g)[0] != EMPTY:
-                return True
-        return False
+        on = [j for j in range(len(terms)) if T >> j & 1]
+        return any(
+            _circuit_class(C, [m[j] for j in on], [
+                (-1) ** (x >> j & 1) * abs(terms[j].coefficient) for j in on
+            ])[0] != EMPTY
+            for x in classes
+        )
 
     if has_roots(full, known_empty=min(neg, neg ^ full)):
         return FeasibilityReport("empty", "nonempty", "nonempty", cls, cert)

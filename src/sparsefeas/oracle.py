@@ -238,34 +238,32 @@ def grid_scan(f: SparsePolynomial, box, resolution):
     return None
 
 
+# the bits of one expanded side, bounded as sum u_i * bitlength(|alpha_i|)
+_PRODUCT_MAX_BITS = 2**19
+
+
 def exact_product_compare(alphas, betas, us, vs) -> int:
     """Sign of prod alpha^u - prod beta^v by full expansion, guarded.
 
-    Bases are limited to |.| <= 10^3 and exponents to 10^4 so that the
-    expansion stays tractable; ScaleLimitError beyond that.  A 0^0 term is
-    undefined and raises PreconditionError.
+    Each side is bounded before it is expanded by sum u_i *
+    bitlength(|alpha_i|); a side above 2^19 bits raises ScaleLimitError.
+    A 0^0 term is undefined and a negative exponent is refused; both
+    raise PreconditionError.
     """
     if not (len(alphas) == len(betas) == len(us) == len(vs)):
         raise PreconditionError("list length mismatch")
     for base, e in zip(list(alphas) + list(betas), list(us) + list(vs)):
         if base == 0 and e == 0:
             raise PreconditionError("0^0 term is not defined")
-    for base in list(alphas) + list(betas):
-        if abs(base) > 1000:
-            raise ScaleLimitError("base exceeds the expansion guard")
-    for e in list(us) + list(vs):
         if e < 0:
             raise PreconditionError("negative exponent")
-        if e > 10**4:
-            raise ScaleLimitError("exponent exceeds the expansion guard")
-    left = 1
-    for a, u in zip(alphas, us):
-        left *= a**u
-    right = 1
-    for b, v in zip(betas, vs):
-        right *= b**v
-    if left > right:
-        return 1
-    if left < right:
-        return -1
-    return 0
+    for bases, exps in ((alphas, us), (betas, vs)):
+        bits = sum(e * abs(b).bit_length() for b, e in zip(bases, exps))
+        if bits > _PRODUCT_MAX_BITS:
+            raise ScaleLimitError(
+                f"a product of up to {bits} bits exceeds the expansion guard"
+                f" of {_PRODUCT_MAX_BITS}"
+            )
+    left = prod(a**u for a, u in zip(alphas, us))
+    right = prod(b**v for b, v in zip(betas, vs))
+    return (left > right) - (left < right)

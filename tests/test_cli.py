@@ -260,6 +260,18 @@ def test_oracle_product(capsys):
     assert payload["sign"] == 1
 
 
+def test_oracle_product_expansion_guard(capsys):
+    # 2^(2^18 + 1) is bounded at just over 2^19 bits
+    code = run([
+        "oracle", "product", "--alphas", "2", "--betas", "3",
+        "--us", str(2**18 + 1), "--vs", "1",
+    ])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "expansion guard" in captured.err
+
+
 def test_oracle_product_rejects_zero_to_the_zero(capsys):
     code = run([
         "oracle", "product", "--alphas", "0", "--betas", "1", "--us", "0", "--vs", "1",

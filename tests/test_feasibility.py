@@ -1,5 +1,6 @@
 """Tests for the feasibility deciders and topology reports."""
 
+import collections
 import itertools
 import json
 import random
@@ -23,14 +24,18 @@ from sparsefeas.feasibility import (
     feas_circuit,
     feas_real_full,
     feas_simplex,
-    reduce_dimension,
     topology_report,
 )
 from sparsefeas.geometry import facet_complements, find_circuit, initial_form
 from sparsefeas.intlattice import integer_kernel
 from sparsefeas.oracle import grid_scan, multiple_root_count, sturm_count
 from sparsefeas.sparsepoly import evaluate, make_polynomial, parse, support, to_text
-from test_geometry import _facet_normal_reference, _facet_scan_reference, _random_support
+from test_geometry import (
+    _facet_normal_reference,
+    _facet_scan_reference,
+    _random_support,
+    _rank,
+)
 
 
 def test_simplex_mixed_signs_nonempty():
@@ -74,20 +79,6 @@ def test_simplex_univariate_point():
     r = feas_simplex(parse("x1 - 2"))
     assert r.classification == POINT_MULT_1
     assert r.positive_orthant == "nonempty"
-
-
-def test_reduce_dimension_shared_direction():
-    f = parse("1 + x1*x2 + x1^2*x2^2")
-    g, u = reduce_dimension(f)
-    assert g.n == 1
-    assert [t.exponents for t in g.terms] == [(0,), (1,), (2,)]
-
-
-def test_reduce_dimension_hyperbola():
-    f = parse("x1^2*x2^2 - 1")
-    g, u = reduce_dimension(f)
-    assert g.n == 1
-    assert [t.exponents for t in g.terms] == [(0,), (2,)]
 
 
 def test_circuit_singular_point():
@@ -218,11 +209,24 @@ def test_circuit_lattice_call_budget(monkeypatch):
     (feas_real_full, "1 + x1 + x2^2"),  # full-dimensional simplex support
     (feas_real_full, "x1^2 + x2^2 + 1"),
     (topology_report, "1 + x1^4 + x2^4 - 3*x1*x2"),  # circuit
+    (classify_positive, "x1^2*x2^2 - 3*x1*x2 + 1"),  # circuit of dimension 1 in R^2
+    (classify_positive, "2 + 2*x2^2*x3^4 - x2^3*x3^4 - x2^4*x3^6"),  # dimension 2 in R^3
+    (classify_positive, "1 - 3*x1 + x1^2 + x2"),  # pyramid over a circuit
 ])
 def test_one_hermite_factorization_per_support(monkeypatch, call, text):
     f = parse(text)
     calls = _count_hermite_calls(monkeypatch)
     call(f)
+    assert len(calls) == 1
+
+
+def test_real_dispatch_one_factorization_over_closed_subsets(monkeypatch):
+    # the circuit lies on the x1 axis and every sign class is mixed, so
+    # each of the 512 closed subsets holding it asks the circuit rule
+    f = parse("1 - x1^2 + x1^4 + " + " + ".join(f"x{i}^2" for i in range(2, 11)))
+    calls = _count_hermite_calls(monkeypatch)
+    rep = feas_real_full(f)
+    assert (rep.positive_orthant, rep.nonzero_reals, rep.all_reals) == ("empty",) * 3
     assert len(calls) == 1
 
 
@@ -343,6 +347,92 @@ def test_lower_dimensional_simplex_witnesses_change_sign():
             assert all(v != 0 for v in p + q), str(f)
             seen["nonzero"] += 1
     assert min(seen.values()) > 50, seen
+
+
+def _singular_point_vanishes(f, point):
+    """Whether f and every x_i df/dx_i vanish at a DegeneratePoint.  The
+    rational coordinates are evaluated exactly; otherwise each ratio
+    x^(a_j - a_0) = prod_k rho_k^((a_j - a_0) . mixing_k / order_k) must
+    be a rational power, and the sums are taken over those ratios."""
+    if point.coordinates is not None:
+        if evaluate(f, point.coordinates) != 0:
+            return False
+        ratios = [evaluate(make_polynomial(f.n, [(t.exponents, 1)]), point.coordinates)
+                  for t in f.terms]
+    else:
+        weights = [
+            [sum(a * row[k] for a, row in zip(t.exponents, point.mixing))
+             for k in range(len(point.orders))]
+            for t in f.terms
+        ]
+        ratios = []
+        for w in weights:
+            ratio = Fraction(1)
+            for k, (rho, order) in enumerate(zip(point.rhos, point.orders)):
+                e, r = divmod(w[k] - weights[0][k], order)
+                if r:
+                    return False
+                ratio *= rho ** e
+            ratios.append(ratio)
+    sums = [sum(t.coefficient * r for t, r in zip(f.terms, ratios))]
+    sums += [
+        sum(t.coefficient * t.exponents[i] * r for t, r in zip(f.terms, ratios))
+        for i in range(f.n)
+    ]
+    return sums == [0] * (f.n + 1)
+
+
+def _embedded_circuit(rng):
+    """A full-dimensional circuit or pyramid g in d variables, one in three
+    with coefficients m_j 2^(w . a_j) on the circuit (a singular point at
+    2^-w, irrational when the halved exponents are used), and its image f
+    under a -> M a for a random integer n x d matrix M of rank d < n."""
+    d = rng.randint(1, 4)
+    kind = "pyramid" if d > 1 and rng.random() < 0.4 else "circuit"
+    pts = _random_support(rng, d, kind)
+    coeffs = [rng.randint(1, 9) * rng.choice((1, -1)) for _ in pts]
+    if rng.random() < 1 / 3:
+        half = rng.random() < 0.5
+        if half:
+            pts = [tuple(2 * v for v in p) for p in pts]
+        C, idx = find_circuit(pts)
+        w = [rng.choice((-1, 0, 1)) for _ in range(d)]
+        vals = [sum(a * b for a, b in zip(w, pts[j])) for j in idx]
+        for j, mj, v in zip(idx, C.relation, vals):
+            coeffs[j] = mj * 2 ** ((v - min(vals)) // (2 if half else 1))
+    g = make_polynomial(d, list(zip(pts, coeffs)))
+    n = rng.randint(d + 1, d + 2)
+    while True:
+        M = [[rng.randint(-1, 2) for _ in range(d)] for _ in range(n)]
+        if _rank(M) == d:
+            break
+    image = [tuple(sum(r * b for r, b in zip(row, p)) for row in M) for p in pts]
+    return g, make_polynomial(n, list(zip(image, coeffs)))
+
+
+def test_embedded_circuit_is_noncompact_exactly_when_nonempty():
+    # Z_+(f) is Z_+(g) times an orthant of dimension n - d: the class is
+    # ALL_NONCOMPACT exactly when g's is nonempty, and each certificate,
+    # computed in R^n, is checked on f itself
+    rng = random.Random(1010)
+    seen = collections.Counter()
+    for _ in range(600):
+        g, f = _embedded_circuit(rng)
+        base = classify_positive(g)[0]
+        cls, cert = classify_positive(f)
+        assert cls == (EMPTY if base == EMPTY else ALL_NONCOMPACT), (str(g), str(f))
+        seen[base] += 1
+        if isinstance(cert, dict):
+            face = [t.coefficient for t in initial_form(f, cert["facet_normal"]).terms]
+            assert len(face) == len(f.terms) - 2 and min(face) < 0 < max(face), str(f)
+            seen["facet"] += 1
+        elif cert is not None:
+            assert _singular_point_vanishes(f, cert), str(f)
+            seen["rational" if cert.coordinates is not None else "irrational"] += 1
+    assert seen[EMPTY] > 50 and seen["facet"] > 50, seen
+    for key in (POINT_MULT_1, SINGULAR_POINT, COMPACT_SPHERE, NONEMPTY_UNCLASSIFIED):
+        assert seen[key] > 0, seen
+    assert seen["rational"] > 5 and seen["irrational"] > 5, seen
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
 """Tests for affine circuit geometry and Newton-polytope helpers."""
 
+import ast
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -232,3 +234,46 @@ def test_caged_alternation():
     assert caged_alternation(circuit, signs)
     signs_bad = [1, 1, 1, 1]
     assert not caged_alternation(circuit, signs_bad)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "sparsefeas"
+
+
+def _callers(path, name):
+    """The functions (dotted through enclosing defs and classes, "" at
+    module level) of a source file that call ``name`` or import it."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}".lstrip(".")
+        if isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
+                found.add(scope)
+        if isinstance(node, ast.ImportFrom) and any(a.name == name for a in node.names):
+            found.add(f"import in {scope or 'module'}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), "")
+    return found
+
+
+def test_only_analyze_support_factors():
+    # one Hermite factorization per instance: outside intlattice itself,
+    # only geometry.analyze_support may compute one (the package also
+    # re-exports the function)
+    callers = {
+        f"{path.stem}.{scope}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "intlattice"
+        for scope in _callers(path, "hermite_factor")
+    }
+    assert callers == {
+        "geometry.analyze_support",
+        "geometry.import in module",
+        "__init__.import in module",
+    }
+    # the helper sees a call inside intlattice
+    assert "integer_kernel" in _callers(SRC / "intlattice.py", "hermite_factor")

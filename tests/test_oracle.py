@@ -115,10 +115,20 @@ def test_exact_product_compare_matches_expansion():
 
 
 def test_exact_product_compare_guards():
+    # the guard bounds each expanded side by sum u_i * bitlength(|alpha_i|)
+    # <= 2^19 bits, not the size of a base or an exponent
+    assert exact_product_compare([2000], [3], [2], [2]) == 1
+    assert exact_product_compare([2], [3], [2**18], [1]) == 1  # 2^19 bits
     with pytest.raises(ScaleLimitError):
-        exact_product_compare([2000], [3], [2], [2])
+        exact_product_compare([2], [3], [2**18 + 1], [1])
     with pytest.raises(ScaleLimitError):
-        exact_product_compare([2], [3], [100001], [2])
+        exact_product_compare([3], [2], [1], [2**18 + 1])
+    # a long list of small factors is bounded as well: 53 * 1000 * 10 bits
+    with pytest.raises(ScaleLimitError):
+        exact_product_compare([1000] * 53, [1] * 53, [1000] * 53, [1] * 53)
+    assert exact_product_compare([1000] * 52, [1] * 52, [1000] * 52, [1] * 52) == 1
+    with pytest.raises(PreconditionError, match="negative exponent"):
+        exact_product_compare([2], [3], [-1], [1])
 
 
 def test_exact_product_compare_rejects_zero_to_the_zero():
