@@ -66,6 +66,25 @@ class SupportAnalysis:
     kernel: list
 
     @cached_property
+    def solution(self):
+        """D H^-1 U e_j for every point j, as rows over the points: H x =
+        U e_j solved by one back substitution over all right-hand sides,
+        free columns 0, scaled by the product D of the pivots.  D times
+        the inverse of the pivot columns is their adjugate, an integer
+        matrix, so every division is exact."""
+        H, r = self.H, self.rank
+        pivots = [next(k for k, h in enumerate(row) if h) for row in H[:r]]
+        D = prod(row[p] for row, p in zip(H, pivots))
+        X = [[0] * len(self.points) for _ in H[0]]
+        for p, row, u in reversed(list(zip(pivots, H, self.U))):
+            acc = [D * uj for uj in u]
+            for h, x in zip(row[p + 1:], X[p + 1:]):
+                if h:
+                    acc = [a - h * xj for a, xj in zip(acc, x)]
+            X[p] = [a // row[p] for a in acc]
+        return X
+
+    @cached_property
     def circuit(self):
         """find_circuit's answer for the points."""
         # the kernel has dimension #A - dim - 1, so a second relation means
@@ -96,18 +115,13 @@ def analyze_support(A) -> SupportAnalysis:
 def affine_function(an: SupportAnalysis, values):
     """The primitive integer (c, w) with c + w . a_j a positive multiple of
     values[j] at every point; ``values`` must be orthogonal to the
-    relations.  H x = U v is solved by back substitution with free columns
-    0, scaled by the product D of the pivots: D times the inverse of the
-    pivot columns is their adjugate, an integer matrix, so every division
-    is exact."""
-    H, r = an.H, an.rank
-    pivots = [next(k for k, h in enumerate(row) if h) for row in H[:r]]
-    D = prod(row[p] for row, p in zip(H, pivots))
-    x = [0] * len(H[0])
-    for p, row, u in reversed(list(zip(pivots, H, an.U))):
-        b = sum(uj * v for uj, v in zip(u, values) if v)
-        x[p] = (D * b - sum(row[k] * x[k] for k in range(p + 1, len(x)))) // row[p]
-    c, *w = primitive_vector(x)
+    relations (PreconditionError otherwise).  (c, w) is the sum of
+    an.solution's columns weighted by the nonzero values, made primitive."""
+    if any(sum(m * v for m, v in zip(rel, values)) for rel in an.kernel):
+        raise PreconditionError("values are not orthogonal to the affine relations")
+    c, *w = primitive_vector(
+        [sum(v * x for v, x in zip(values, row) if v) for row in an.solution]
+    )
     return c, tuple(w)
 
 

@@ -3,8 +3,10 @@ and kernels.
 
 Everything here is fraction-free: Bareiss elimination for determinants and
 extended-gcd row operations for the normal forms, so intermediate entries
-stay integers of modest size.  Matrices are lists of lists of Python ints,
-row-major.
+stay integers of modest size.  The one extended gcd takes its cofactors
+from C-level gcd and modular inverse; Hermite clears an entry that its
+pivot divides with one row operation instead of a gcd rotation.  Matrices
+are lists of lists of Python ints, row-major.
 """
 
 from __future__ import annotations
@@ -58,18 +60,20 @@ def determinant(M) -> int:
 
 
 def _egcd(a: int, b: int):
-    """Return (g, s, t) with s*a + t*b == g == gcd(a, b), g >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
+    """Return (g, s, t) with s*a + t*b == g == gcd(a, b), g >= 0: the
+    cofactors of the Euclidean remainder sequence, s reduced into
+    (-|b/g|/2, |b/g|/2] (sign(b) on the tie |b/g| == 2), from C-level
+    gcd and modular inverse."""
+    g = gcd(a, b)
+    if not b:
+        return g, -1 if a < 0 else 1, 0
+    q = abs(b) // g
+    s = pow(a // g, -1, q)
+    if 2 * s > q:
+        s -= q
+    elif 2 * s == q:
+        s = 1 if b > 0 else -1
+    return g, s, (g - s * a) // b
 
 
 def hermite_factor(M):
@@ -87,29 +91,31 @@ def hermite_factor(M):
     for col in range(m):
         if row >= n:
             break
-        pivot = None
-        for i in range(row, n):
-            if H[i][col] != 0:
-                pivot = i
+        for pivot in range(row, n):
+            if H[pivot][col]:
                 break
-        if pivot is None:
+        else:
             continue
         H[row], H[pivot] = H[pivot], H[row]
         U[row], U[pivot] = U[pivot], U[row]
-        # kill entries below with combined-gcd row operations
+        # kill entries below: one row operation when the pivot divides
+        # the entry, else the unimodular gcd rotation [[s, t], [-q, p]]
         for i in range(row + 1, n):
-            if H[i][col] == 0:
-                continue
             a, b = H[row][col], H[i][col]
+            if not b:
+                continue
+            if b % a == 0:
+                k = b // a
+                H[i] = [y - k * x for x, y in zip(H[row], H[i])]
+                U[i] = [y - k * x for x, y in zip(U[row], U[i])]
+                continue
             g, s, t = _egcd(a, b)
             p, q = a // g, b // g
-            # [[s, t], [-q, p]] is unimodular: s*p + t*q == 1
-            r1 = [s * H[row][j] + t * H[i][j] for j in range(m)]
-            r2 = [-q * H[row][j] + p * H[i][j] for j in range(m)]
-            H[row], H[i] = r1, r2
-            u1 = [s * U[row][j] + t * U[i][j] for j in range(n)]
-            u2 = [-q * U[row][j] + p * U[i][j] for j in range(n)]
-            U[row], U[i] = u1, u2
+            for R in (H, U):
+                R[row], R[i] = (
+                    [s * x + t * y for x, y in zip(R[row], R[i])],
+                    [p * y - q * x for x, y in zip(R[row], R[i])],
+                )
         if H[row][col] < 0:
             H[row] = [-v for v in H[row]]
             U[row] = [-v for v in U[row]]
@@ -118,8 +124,8 @@ def hermite_factor(M):
         for i in range(row):
             q = H[i][col] // p
             if q:
-                H[i] = [H[i][j] - q * H[row][j] for j in range(m)]
-                U[i] = [U[i][j] - q * U[row][j] for j in range(n)]
+                H[i] = [x - q * y for x, y in zip(H[i], H[row])]
+                U[i] = [x - q * y for x, y in zip(U[i], U[row])]
         row += 1
     return H, U
 
@@ -241,9 +247,5 @@ def integer_kernel(M):
 
 def primitive_vector(v):
     """Scale an integer vector by 1/gcd so that its entries are coprime."""
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    if g == 0:
-        return list(v)
-    return [x // g for x in v]
+    g = gcd(*v)
+    return [x // g for x in v] if g else list(v)

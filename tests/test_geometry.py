@@ -3,6 +3,7 @@
 import ast
 import random
 from itertools import combinations
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -205,6 +206,68 @@ def test_affine_function_lower_dimensional():
         j = next(j for j, v in enumerate(values) if v)
         assert got[j] * values[j] > 0
         assert all(g * values[j] == v * got[j] for g, v in zip(got, values))
+
+
+def _affine_function_reference(an, values):
+    """affine_function by its own back substitution of H x = U values,
+    free columns 0, scaled by the product D of the pivots."""
+    H, r = an.H, an.rank
+    pivots = [next(k for k, h in enumerate(row) if h) for row in H[:r]]
+    D = prod(row[p] for row, p in zip(H, pivots))
+    x = [0] * len(H[0])
+    for p, row, u in reversed(list(zip(pivots, H, an.U))):
+        b = sum(uj * v for uj, v in zip(u, values))
+        x[p] = (D * b - sum(row[k] * x[k] for k in range(p + 1, len(x)))) // row[p]
+    c, *w = primitive_vector(x)
+    return c, tuple(w)
+
+
+def _embedded_support(rng):
+    """Distinct points of a random d-dimensional support (a simplex or a
+    circuit) mapped into R^n, n > d, by a random integer matrix."""
+    n = rng.randint(2, 5)
+    d = rng.randint(1, n - 1)
+    M = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(n)]
+    base = [tuple(rng.randint(0, 4) for _ in range(d)) for _ in range(d + rng.randint(1, 2))]
+    return list({tuple(sum(r * b for r, b in zip(row, p)) for row in M) for p in base})
+
+
+def test_affine_function_matches_back_substitution():
+    # the one adjugate solve per support, summed over the nonzero values,
+    # equals a fresh back substitution for every facet and every dominant
+    # direction 1 - e_j; values that are not orthogonal to the relations
+    # are refused
+    rng = random.Random(77)
+    solves = refused = 0
+    for k in range(1200):
+        if k % 4 == 3:
+            pts = _embedded_support(rng)
+        else:
+            n = 1 + k % 5
+            kind = ("simplex", "circuit", "pyramid")[k % 3] if n > 1 else ("simplex", "circuit")[k % 2]
+            pts = _random_support(rng, n, kind)
+        an = analyze_support(pts)
+        if len(an.kernel) > 1:
+            continue
+        m = an.kernel[0] if an.kernel else [0] * len(pts)
+        vectors = [facet_values(m, out) for out in facet_complements(m)]
+        vectors += [[int(i != j) for i in range(len(pts))] for j in range(len(pts))]
+        for values in vectors:
+            if sum(a * b for a, b in zip(m, values)):
+                with pytest.raises(PreconditionError):
+                    affine_function(an, values)
+                refused += 1
+            elif any(values):
+                assert affine_function(an, values) == _affine_function_reference(an, values)
+                solves += 1
+    assert solves > 7000 and refused > 1000, (solves, refused)
+
+
+def test_affine_function_refuses_values_off_the_relations():
+    # 1, 0, 0 on the collinear 0, 1, 2 is no affine function's values
+    with pytest.raises(PreconditionError):
+        affine_function(analyze_support([(0,), (1,), (2,)]), [1, 0, 0])
+    assert affine_function(analyze_support([(0,), (1,), (2,)]), [0, 1, 2]) == (0, (1,))
 
 
 def test_facet_normals_preconditions():
