@@ -20,11 +20,12 @@ discriminant sign, all read off one Hermite factorization of the support
 Z_+(f) is the zero set in the support's span times R_+^(n - d), so a
 nonempty class is ALL_NONCOMPACT and its certificate is computed in R^n.
 
-Z* and Z_R reduce to positive-orthant questions on the strata of R^n (a
-set of zero coordinates and an orthant of the rest).  A stratum matters
-only through the terms it keeps and their signs, so feas_real_full visits
-the closed term subsets and the F_2 classes of term signs, at most
-2^#terms of each, rather than the 3^n strata.
+feas_simplex's sign and parity rule decides all three sets of a simplex.
+For a circuit, Z* and Z_R reduce to positive-orthant questions on the
+strata of R^n (a set of zero coordinates and an orthant of the rest).  A
+stratum matters only through the terms it keeps and their signs, so
+feas_real_full visits the closed term subsets and the F_2 classes of term
+signs, at most 2^#terms of each, rather than the 3^n strata.
 """
 
 from __future__ import annotations
@@ -42,14 +43,13 @@ from .discriminant import (
 from .geometry import (
     CircuitData,
     SupportAnalysis,
-    affine_function,
     analyze_support,
     caged_alternation,
     facet_complements,
-    facet_values,
     interior_point,
 )
-from .sparsepoly import SparsePolynomial, make_polynomial
+from .intlattice import primitive_vector
+from .sparsepoly import SparsePolynomial
 
 EMPTY = "EMPTY"
 POINT_MULT_1 = "POINT_MULT_1"
@@ -76,22 +76,19 @@ class FeasibilityReport:
     certificate: object = None
 
 
-def _dominant_point(f: SparsePolynomial, j: int, an: SupportAnalysis):
-    """A rational point t^w in the positive orthant where term j dominates,
-    so that sign f(x) = sign c_j.  The affine function (c, w) with values
-    1 - e_j at the affinely independent support gives w . (a_i - a_j) =
-    s > 0 for all i != j, and t = 1/(1 + sum |c_i|)."""
-    _, w = affine_function(an, [int(i != j) for i in range(len(f.terms))])
-    t = Fraction(1, 1 + sum(abs(term.coefficient) for term in f.terms))
-    return tuple(t ** wk for wk in w)
-
-
-def _sign_change_pair(f: SparsePolynomial, an: SupportAnalysis):
-    """Two positive rational points where f takes opposite signs; requires
-    mixed coefficient signs and affinely independent support."""
-    jp = next(i for i, t in enumerate(f.terms) if t.coefficient > 0)
-    jn = next(i for i, t in enumerate(f.terms) if t.coefficient < 0)
-    return _dominant_point(f, jp, an), _dominant_point(f, jn, an)
+def _sign_change_pair(an: SupportAnalysis, coeffs):
+    """Two points t^w > 0 where a polynomial with coefficients ``coeffs``
+    on the affinely independent support of ``an`` takes opposite signs:
+    where its first positive and its first negative term dominate.  The
+    columns S_j of an.solution sum to D e_0, so primitive(D e_0 - S_j) is
+    the affine function (c, w) with values 1 - e_j: w . (a_i - a_j) = c > 0
+    for all i != j, and t = 1/(1 + sum |c_i|)."""
+    X = an.solution
+    D = sum(X[0])
+    t = Fraction(1, 1 + sum(abs(c) for c in coeffs))
+    ends = [next(j for j, c in enumerate(coeffs) if c * e > 0) for e in (1, -1)]
+    ws = (primitive_vector([D - X[0][j], *(-x[j] for x in X[1:])])[1:] for j in ends)
+    return tuple(tuple(t ** wk for wk in w) for w in ws)
 
 
 def feas_simplex(f: SparsePolynomial, an: SupportAnalysis | None = None) -> FeasibilityReport:
@@ -109,7 +106,7 @@ def feas_simplex(f: SparsePolynomial, an: SupportAnalysis | None = None) -> Feas
     mixed = any(c > 0 for c in coeffs) and any(c < 0 for c in coeffs)
     if mixed:
         cls = POINT_MULT_1 if f.n == 1 and len(coeffs) == 2 else ALL_NONCOMPACT
-        cert = _sign_change_pair(f, an)
+        cert = _sign_change_pair(an, coeffs)
         return FeasibilityReport("nonempty", "nonempty", "nonempty", cls, cert)
     base = f.terms[0].exponents
     odd = (
@@ -118,18 +115,10 @@ def feas_simplex(f: SparsePolynomial, an: SupportAnalysis | None = None) -> Feas
     i = next(odd, None)
     if i is not None:
         # flipping coordinate i mixes the signs there, on the same support
-        flipped = make_polynomial(
-            f.n,
-            [
-                (t.exponents, t.coefficient * (-1) ** (t.exponents[i] % 2))
-                for t in f.terms
-            ],
-        )
-        p, q = _sign_change_pair(flipped, an)
-        cert = (
-            tuple(-v if k == i else v for k, v in enumerate(p)),
-            tuple(-v if k == i else v for k, v in enumerate(q)),
-        )
+        # and with the same |c_j|
+        flipped = [c * (-1) ** (t.exponents[i] % 2) for c, t in zip(coeffs, f.terms)]
+        pair = _sign_change_pair(an, flipped)
+        cert = tuple(tuple(-v if k == i else v for k, v in enumerate(x)) for x in pair)
         return FeasibilityReport("empty", "nonempty", "nonempty", EMPTY, cert)
     if f.is_laurent:
         return FeasibilityReport("empty", "empty", "empty", EMPTY)
@@ -237,7 +226,8 @@ def feas_circuit(f: SparsePolynomial, an: SupportAnalysis | None = None) -> Feas
     cls, why = _circuit_class(C, m, [t.coefficient for t in f.terms])
     cert = None
     if cls == ALL_NONCOMPACT:
-        normals = [affine_function(an, facet_values(m, out))[1] for out in why]
+        X = an.solution  # facet_values -m_q at p, m_p at q: orthogonal to m
+        normals = [primitive_vector([m[p] * x[q] - m[q] * x[p] for x in X])[1:] for p, q in why]
         cert = {"facet_normal": list(min(normals))}
     elif cls == SINGULAR_POINT:
         cert = degenerate_point(why)
@@ -248,25 +238,33 @@ def feas_circuit(f: SparsePolynomial, an: SupportAnalysis | None = None) -> Feas
 
 
 def feas_real_full(f: SparsePolynomial) -> FeasibilityReport:
-    """Decide Z_+, Z*, and Z_R over term subsets and F_2 sign classes.
+    """Decide Z_+, Z*, and Z_R: a simplex by feas_simplex, a circuit over
+    term subsets and F_2 sign classes.
 
-    Requires polynomial (nonnegative) exponents.  A stratum (some
-    coordinates zero, the rest of fixed sign) leaves the terms T whose
-    support avoids the zero coordinates, with term signs
-    sign(c_j) (-1)^<delta, a_j mod 2>: an affine map over F_2 of the
-    orthant delta.  The strata's sets T are the closed term subsets, those
-    holding every term supported inside their own union of supports.  An
-    empty T (no constant term) is a root at the origin.  A T without the
-    circuit is affinely independent, so it has roots exactly when some
-    reachable sign vector is mixed.  A T holding the circuit has the one
-    relation m restricted to T, so the circuit rule decides it from that
-    and the signed |c_j|, once per reachable sign vector up to negation,
-    without building a polynomial.  Z* is the question on T = all terms;
-    Z_R adds the proper closed T.
+    Requires polynomial (nonnegative) exponents.  feas_simplex's rule is
+    complete on a simplex: with one coefficient sign and all exponent
+    differences even, a constant term forces every exponent to be even,
+    so f keeps that sign on all of R^n; without a constant term the
+    origin is a root.
+
+    For a circuit, a stratum (some coordinates zero, the rest of fixed
+    sign) leaves the terms T whose support avoids the zero coordinates,
+    with term signs sign(c_j) (-1)^<delta, a_j mod 2>: an affine map over
+    F_2 of the orthant delta.  The strata's sets T are the closed term
+    subsets, those holding every term supported inside their own union of
+    supports.  An empty T (no constant term) is a root at the origin.  A
+    proper subset T without the circuit is affinely independent, so it has
+    roots exactly when some reachable sign vector is mixed.  A T holding
+    the circuit has the one relation m restricted to T, so the circuit
+    rule decides it from that and the signed |c_j|, once per reachable
+    sign vector up to negation, without building a polynomial.  Z* is the
+    question on T = all terms; Z_R adds the proper closed T.
     """
     if f.is_laurent:
         raise PreconditionError("real-set dispatch requires polynomial exponents")
     an = analyze_support(t.exponents for t in f.terms)
+    if len(f.terms) == an.rank:
+        return feas_simplex(f, an)
     cls, cert = classify_positive(f, an)
     if cls != EMPTY:
         return FeasibilityReport("nonempty", "nonempty", "nonempty", cls, cert)
@@ -280,8 +278,8 @@ def feas_real_full(f: SparsePolynomial) -> FeasibilityReport:
     neg = mask(lambda t: t.coefficient < 0)
     parity = [mask(lambda t: t.exponents[i] % 2) for i in range(f.n)]
     supp = [sum(1 << i for i, e in enumerate(t.exponents) if e) for t in terms]
-    C, m = _circuit_relation(an) if an.circuit else (None, [0] * len(terms))
-    circuit = sum(1 << j for j, v in enumerate(m) if v)  # 0 for a simplex
+    C, m = _circuit_relation(an)
+    circuit = sum(1 << j for j, v in enumerate(m) if v)
 
     def has_roots(T, known_empty=None):
         """Whether the terms T have a root in some open orthant, given the
@@ -294,7 +292,7 @@ def feas_real_full(f: SparsePolynomial) -> FeasibilityReport:
                 flips |= {v ^ (col & T) for v in flips}
         classes = {min(x, x ^ T) for x in ((neg ^ v) & T for v in flips)}
         classes -= {0, known_empty}  # class 0: one sign throughout, no root
-        if not circuit or circuit & T != circuit:
+        if circuit & T != circuit:
             return bool(classes)  # a simplex has roots iff its signs mix
         on = [j for j in range(len(terms)) if T >> j & 1]
         return any(

@@ -71,7 +71,8 @@ class SupportAnalysis:
         U e_j solved by one back substitution over all right-hand sides,
         free columns 0, scaled by the product D of the pivots.  D times
         the inverse of the pivot columns is their adjugate, an integer
-        matrix, so every division is exact."""
+        matrix, so every division is exact.  The columns S_j sum to
+        (D, 0, ..., 0), the all-ones values, as column 0 is a pivot."""
         H, r = self.H, self.rank
         pivots = [next(k for k, h in enumerate(row) if h) for row in H[:r]]
         D = prod(row[p] for row, p in zip(H, pivots))

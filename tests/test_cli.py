@@ -78,6 +78,13 @@ def test_feas_real_verdicts(capsys):
     assert payload["witness"] == ["0", "0"]
 
 
+def test_feas_real_refuses_laurent_simplex(capsys):
+    code = run(["feas", "--set", "real", "--expr", "x1^-1 - 2"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: real-set dispatch requires polynomial exponents\n"
+
+
 def test_disc_vanish_and_sign(capsys):
     code, payload = _run(
         capsys, "disc", "vanish", "--support", "0;1;2", "--coeffs", "1,-2,1"

@@ -171,18 +171,23 @@ def test_circuit_facet_certificate_matches_subset_scan():
     assert fired > 200 and 1000 - fired > 50  # both outcomes occur
 
 
-def _count_hermite_calls(monkeypatch):
-    real = intlattice.hermite_factor
+def _count_calls(monkeypatch, real):
+    """Record the arguments of every call of ``real`` through any
+    sparsefeas module that refers to it."""
     calls = []
 
-    def counted(M):
-        calls.append(M)
-        return real(M)
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
 
     for name, mod in list(sys.modules.items()):
-        if name.startswith("sparsefeas") and getattr(mod, "hermite_factor", None) is real:
-            monkeypatch.setattr(mod, "hermite_factor", counted)
+        if name.startswith("sparsefeas") and getattr(mod, real.__name__, None) is real:
+            monkeypatch.setattr(mod, real.__name__, counted)
     return calls
+
+
+def _count_hermite_calls(monkeypatch):
+    return _count_calls(monkeypatch, intlattice.hermite_factor)
 
 
 def test_circuit_lattice_call_budget(monkeypatch):
@@ -595,6 +600,61 @@ def _random_real_instance(rng, n):
         except PreconditionError:
             continue  # more than dim + 2 terms
         return f
+
+
+def _random_real_simplex(rng, k):
+    """A simplex support, full-dimensional or (k odd) of lower dimension,
+    with its exponents doubled one time in three and all coefficients
+    positive one time in two."""
+    if k % 2:
+        g = _lower_dimensional_simplex(rng)
+    else:
+        n = 1 + k // 2 % 5
+        g = make_polynomial(n, [(p, 1) for p in _random_support(rng, n, "simplex")])
+    scale = rng.choice((1, 1, 2))
+    positive = rng.random() < 0.5
+    return make_polynomial(g.n, [
+        (tuple(scale * e for e in t.exponents),
+         rng.randint(1, 9) * (1 if positive else rng.choice((1, -1))))
+        for t in g.terms
+    ])
+
+
+def test_real_full_is_feas_simplex_on_simplices():
+    # a simplex gets feas_simplex's report as it is; the sign and parity
+    # rule decides Z* and Z_R as the strata enumeration does
+    rng = random.Random(1212)
+    seen = collections.Counter()
+    for k in range(400):
+        f = _random_real_simplex(rng, k)
+        rep = feas_real_full(f)
+        assert rep == feas_simplex(f), str(f)
+        if k < 200:
+            assert rep == _strata_reference(f), str(f)
+        seen[rep.positive_orthant, rep.nonzero_reals, rep.all_reals] += 1
+    assert len(seen) == 4 and min(seen.values()) > 10, seen
+
+
+def test_real_full_refuses_laurent_simplex():
+    # the Laurent check comes before the simplex answer
+    f = parse("x1^-1 - 2")
+    assert feas_simplex(f).nonzero_reals == "nonempty"
+    with pytest.raises(PreconditionError, match="requires polynomial exponents"):
+        feas_real_full(f)
+
+
+def test_real_full_simplex_builds_nothing(monkeypatch):
+    # one-sign simplex, odd in x1: the flipped signs are read on the same
+    # support analysis, without a polynomial or an affine_function solve
+    from sparsefeas import geometry, sparsepoly
+
+    f = parse("1 + x1 + x2^2")
+    made = _count_calls(monkeypatch, sparsepoly.make_polynomial)
+    solves = _count_calls(monkeypatch, geometry.affine_function)
+    factors = _count_hermite_calls(monkeypatch)
+    rep = feas_real_full(f)
+    assert (rep.positive_orthant, rep.nonzero_reals, rep.all_reals) == ("empty", "nonempty", "nonempty")
+    assert (len(made), len(solves), len(factors)) == (0, 0, 1)
 
 
 def test_real_full_matches_strata_enumeration():

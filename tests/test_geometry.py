@@ -263,6 +263,64 @@ def test_affine_function_matches_back_substitution():
     assert solves > 7000 and refused > 1000, (solves, refused)
 
 
+def _pivot_product(an):
+    """The product D of the pivots of the support's Hermite form."""
+    return prod(next(h for h in row if h) for row in an.H[:an.rank])
+
+
+def _mixed_supports(rng, count):
+    """Full-dimensional simplices, circuits and pyramids for n <= 6, and
+    every fourth one a lower-dimensional support embedded in R^n."""
+    for k in range(count):
+        if k % 4 == 3:
+            yield _embedded_support(rng)
+        else:
+            n = 1 + k % 6
+            kinds = ("simplex", "circuit", "pyramid") if n > 1 else ("simplex", "circuit")
+            yield _random_support(rng, n, kinds[k % len(kinds)])
+
+
+def test_solution_columns_sum_to_pivot_product():
+    # the columns S_j of the adjugate solve sum to (D, 0, ..., 0): the
+    # all-ones values, since column 0 of (1 | a_j) is always a pivot
+    rng = random.Random(1201)
+    lower = 0
+    for pts in _mixed_supports(rng, 1200):
+        an = analyze_support(pts)
+        D = _pivot_product(an)
+        assert D > 0
+        assert [sum(row) for row in an.solution] == [D] + [0] * len(pts[0]), pts
+        lower += an.rank <= len(pts[0])
+    assert lower >= 250
+
+
+def test_column_reads_match_affine_function():
+    # a facet normal of a mixed pair (p, q) is primitive(m_p S_q - m_q S_p)
+    # and the dominant direction of term j is primitive(D e_0 - S_j), both
+    # equal to affine_function's (c, w) for the same values
+    rng = random.Random(1202)
+    pairs = directions = 0
+    for pts in _mixed_supports(rng, 1200):
+        an = analyze_support(pts)
+        if len(an.kernel) > 1:
+            continue
+        X, D = an.solution, _pivot_product(an)
+        m = an.kernel[0] if an.kernel else [0] * len(pts)
+        for out in facet_complements(m):
+            if len(out) == 2:
+                p, q = out
+                read = primitive_vector([m[p] * x[q] - m[q] * x[p] for x in X])
+                want = affine_function(an, facet_values(m, out))
+                assert (read[0], tuple(read[1:])) == want, pts
+                pairs += 1
+        for j in (j for j, v in enumerate(m) if v == 0):
+            read = primitive_vector([D - X[0][j], *(-x[j] for x in X[1:])])
+            values = [int(i != j) for i in range(len(pts))]
+            assert (read[0], tuple(read[1:])) == affine_function(an, values), pts
+            directions += 1
+    assert pairs > 1000 and directions > 2000
+
+
 def test_affine_function_refuses_values_off_the_relations():
     # 1, 0, 0 on the collinear 0, 1, 2 is no affine function's values
     with pytest.raises(PreconditionError):
