@@ -15,7 +15,6 @@ from .sparsepoly import (
     PointSet,
     SparsePolynomial,
     Term,
-    bit_size,
     evaluate,
     from_json,
     make_polynomial,
@@ -41,22 +40,17 @@ from .discriminant import (
 )
 from .exactsign import (
     GcdFreeBasis,
-    LogInterval,
     binomial_sign,
     binomial_vanish,
     gcd_free_basis,
-    log_interval,
 )
 from .geometry import (
     CircuitData,
     affine_dim,
-    caged_alternation,
-    facet_normals,
     find_circuit,
-    initial_form,
     interior_point,
 )
-from .intlattice import determinant, hermite_factor, integer_kernel, smith_factor
+from .intlattice import determinant, hermite_factor, smith_factor
 from .oracle import exact_product_compare, grid_scan, multiple_root_count, sturm_count
 from .reductions import (
     PolySystem,

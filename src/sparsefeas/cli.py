@@ -19,7 +19,7 @@ from .discriminant import (
     adisc_sign,
     adisc_vanish,
 )
-from .errors import SparseFeasError
+from .errors import PreconditionError, ScaleLimitError, SparseFeasError
 from .feasibility import EMPTY, classify_positive, feas_real_full, topology_report
 from .geometry import find_circuit
 from .oracle import exact_product_compare, grid_scan, sturm_count
@@ -177,11 +177,21 @@ def _load_system(args) -> PolySystem:
         data = json.load(fh)
     if isinstance(data, dict) and "polynomials" in data:
         data = data["polynomials"]
+    if not isinstance(data, list):
+        raise PreconditionError('a system file holds [...] or {"polynomials": [...]}')
     return PolySystem(tuple(from_json(p) for p in data))
+
+
+# 2^16 assignments, within the grid oracle's budget of 10^5 points
+_BRUTE_FORCE_MAX_VARS = 16
 
 
 def _brute_force_binary(F: PolySystem) -> bool:
     n = F.n
+    if n > _BRUTE_FORCE_MAX_VARS:
+        raise ScaleLimitError(
+            f"{n} variables exceed the --brute-force guard of {_BRUTE_FORCE_MAX_VARS}"
+        )
     for bits in product((0, 1), repeat=n):
         if all(evaluate(p, bits[: p.n]) == 0 for p in F.polynomials):
             return True

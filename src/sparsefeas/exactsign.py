@@ -33,7 +33,7 @@ sum is a lower bound, and the error is counted in ulps (units of
 most 2, and the geometric tail after the last nonzero power (at most 9/8
 of the next power) at most 2 more.  A series of t terms is thus exact to
 2t + 2 ulps; ``_log_fixed`` scales that by at most 2k + 2 and chooses
-guard so the total radius stays <= 2^-bits.  The atanh(1/3) enclosure is
+guard so the width stays <= 2^(1-bits).  The atanh(1/3) enclosure is
 computed once per guard and cached.  Sums of logs are compared as exact
 integers at the finest dyadic scale of their enclosures.
 """
@@ -62,15 +62,6 @@ class GcdFreeBasis:
 
     gammas: tuple[int, ...]
     exponent_matrix: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class LogInterval:
-    """A dyadic enclosure [value - radius, value + radius] of a natural log."""
-
-    value: Fraction
-    radius: Fraction
-    bits: int
 
 
 def _refine_pairwise_coprime(items):
@@ -232,21 +223,6 @@ def _log_fixed(n: int, bits: int):
     z_low, z_width = _atanh_fixed(n - (1 << k), n + (1 << k), guard)
     width = 2 * k * ln2_width + 2 * z_width
     return 2 * k * ln2_low + 2 * z_low, width, guard
-
-
-def log_interval(n: int, bits: int) -> LogInterval:
-    """A rigorous dyadic enclosure of ln(n) with radius <= 2^-bits."""
-    if n < 1:
-        raise PreconditionError("log_interval requires n >= 1")
-    if bits < 1:
-        raise PreconditionError("log_interval requires bits >= 1")
-    if n == 1:
-        return LogInterval(Fraction(0), Fraction(1, 1 << (bits + 1)), bits)
-    low, width, guard = _log_fixed(n, bits)
-    # the radius width / 2^(guard+1) must not exceed 2^-bits
-    assert width <= 1 << (guard + 1 - bits)
-    scale = 2 << guard
-    return LogInterval(Fraction(2 * low + width, scale), Fraction(width, scale), bits)
 
 
 _LOG_CACHE: dict = {}

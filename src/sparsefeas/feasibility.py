@@ -44,7 +44,6 @@ from .geometry import (
     CircuitData,
     SupportAnalysis,
     analyze_support,
-    caged_alternation,
     facet_complements,
     interior_point,
 )
@@ -139,7 +138,7 @@ def _circuit_class(C: CircuitData, m, coeffs):
     mixed = []
     for out in facet_complements(m):
         face = [c for j, c in enumerate(coeffs) if j not in out]
-        if len(out) == 2 and min(face) < 0 < max(face):
+        if min(face) < 0 < max(face):
             mixed.append(out)
     if mixed:
         return ALL_NONCOMPACT, mixed
@@ -159,7 +158,7 @@ def _circuit_class(C: CircuitData, m, coeffs):
         ends = [s for k, s in enumerate(signs) if k != ip]
         if len(coeffs) == 3 and ends[0] != ends[1]:
             return POINT_MULT_1, None  # d = 1: the segment's ends differ
-        if caged_alternation(C, signs) is not None:
+        if all(s != signs[ip] for s in ends):  # a caged alternation
             if signs[ip] > 0:
                 coeffs = [-c for c in coeffs]
             D = CircuitDiscriminant(C, tuple(coeffs))
@@ -197,10 +196,10 @@ def feas_circuit(f: SparsePolynomial, an: SupportAnalysis | None = None) -> Feas
     PreconditionError.  The class depends only on m and the coefficients,
     so it is decided in A's own span.
 
-    Step 1: by Gale duality (see facet_normals) the facets of d terms are
-    A minus {p, q} with m_p > 0 > m_q.  One with mixed signs makes a
-    non-compact branch, certified by the smallest such facet normal: the
-    affine function with the facet_values -m_q at p and m_p at q.
+    Step 1: by Gale duality (see facet_complements) the facets of d terms
+    are A minus {p, q} with m_p > 0 > m_q.  One with mixed signs makes a
+    non-compact branch, certified by the smallest such facet normal: w of
+    the affine function with values -m_q at p, m_p at q and 0 elsewhere.
 
     Step 2: in a pyramid (some m_j = 0) that step 1 leaves, the apexes
     have the sign s of the circuit's vertices.  A monomial change of
@@ -226,7 +225,7 @@ def feas_circuit(f: SparsePolynomial, an: SupportAnalysis | None = None) -> Feas
     cls, why = _circuit_class(C, m, [t.coefficient for t in f.terms])
     cert = None
     if cls == ALL_NONCOMPACT:
-        X = an.solution  # facet_values -m_q at p, m_p at q: orthogonal to m
+        X = an.solution  # values -m_q at p, m_p at q: orthogonal to m
         normals = [primitive_vector([m[p] * x[q] - m[q] * x[p] for x in X])[1:] for p, q in why]
         cert = {"facet_normal": list(min(normals))}
     elif cls == SINGULAR_POINT:

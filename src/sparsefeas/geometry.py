@@ -1,5 +1,5 @@
 """Combinatorics of supports: affine dimension, circuits, Radon interior
-points, facet normals, initial forms, and caged alternations.
+points, and the Gale-dual facets of a circuit.
 
 A *circuit* is an affinely dependent point set every proper subset of
 which is affinely independent.  Such a set carries a unique (up to sign)
@@ -15,7 +15,7 @@ from math import prod
 
 from .errors import NotACircuitError, PreconditionError
 from .intlattice import hermite_factor, primitive_vector
-from .sparsepoly import PointSet, SparsePolynomial, make_polynomial
+from .sparsepoly import PointSet
 
 
 @dataclass(frozen=True)
@@ -113,19 +113,6 @@ def analyze_support(A) -> SupportAnalysis:
     return SupportAnalysis(pts, H, U, r, U[r:])
 
 
-def affine_function(an: SupportAnalysis, values):
-    """The primitive integer (c, w) with c + w . a_j a positive multiple of
-    values[j] at every point; ``values`` must be orthogonal to the
-    relations (PreconditionError otherwise).  (c, w) is the sum of
-    an.solution's columns weighted by the nonzero values, made primitive."""
-    if any(sum(m * v for m, v in zip(rel, values)) for rel in an.kernel):
-        raise PreconditionError("values are not orthogonal to the affine relations")
-    c, *w = primitive_vector(
-        [sum(v * x for v, x in zip(values, row) if v) for row in an.solution]
-    )
-    return c, tuple(w)
-
-
 def affine_dim(A: PointSet) -> int:
     """Dimension of the affine span of A."""
     return analyze_support(A).rank - 1
@@ -158,71 +145,11 @@ def interior_point(C: CircuitData):
 
 
 def facet_complements(relation):
-    """The complements A minus F of the facets F of Conv(A), read from A's
-    affine relation m (see facet_normals): each mixed pair (p, q) with
-    m_p > 0 > m_q, then each apex (z,) with m_z = 0."""
+    """The complements {p, q} of the facets of Conv(A) that leave out two
+    points, read from A's one affine relation m: by Gale duality (Gelfand-
+    Kapranov-Zelevinsky 1994, ch. 7) F is a face exactly when 0 lies in
+    the relative interior of {m_j : j not in F}, so the facets are A minus
+    {p, q} with m_p > 0 > m_q, and in a pyramid A minus {z} with m_z = 0."""
     pos = [j for j, v in enumerate(relation) if v > 0]
     neg = [j for j, v in enumerate(relation) if v < 0]
-    apexes = [(z,) for z, v in enumerate(relation) if v == 0]
-    return [(p, q) for p in pos for q in neg] + apexes
-
-
-def facet_values(relation, out):
-    """The values at the points, up to a positive factor, of the inner
-    affine function of the facet with complement ``out`` (see
-    facet_normals): 1 at an apex z; -m_q at p and m_p at q for a pair."""
-    v = [0] * len(relation)
-    if len(out) == 1:
-        v[out[0]] = 1
-    else:
-        v[out[0]], v[out[1]] = -relation[out[1]], relation[out[0]]
-    return v
-
-
-def facet_normals(A: PointSet, n: int):
-    """All primitive inner facet normals of Conv(A) in R^n, sorted.
-
-    Requires affine_dim(A) == n and #A <= n+2.  The support analysis gives
-    the dimension and the affine relation m, zero for a simplex; every
-    relation of A is a multiple of m.  By Gale duality (Gelfand-Kapranov-
-    Zelevinsky 1994, ch. 7) F is a face exactly when 0 lies in the
-    relative interior of {m_j : j not in F}, so the facets are A minus
-    {p, q} with m_p > 0 > m_q and A minus {z} with m_z = 0.  Each normal
-    is w of the primitive affine_function with the facet_values.
-    """
-    an = analyze_support(A)
-    if an.rank != n + 1:
-        raise PreconditionError("support does not span full dimension")
-    if len(an.points) > n + 2:
-        raise PreconditionError("too many points for facet scan")
-    m = an.kernel[0] if an.kernel else [0] * len(an.points)
-    return sorted(
-        affine_function(an, facet_values(m, out))[1] for out in facet_complements(m)
-    )
-
-
-def initial_form(f: SparsePolynomial, w) -> SparsePolynomial:
-    """Subpolynomial of terms whose exponent minimizes the weight w."""
-    if all(v == 0 for v in w):
-        raise PreconditionError("zero weight vector")
-    vals = [sum(wk * e for wk, e in zip(w, t.exponents)) for t in f.terms]
-    lo = min(vals)
-    return make_polynomial(
-        f.n,
-        [(t.exponents, t.coefficient) for t, v in zip(f.terms, vals) if v == lo],
-    )
-
-
-def caged_alternation(C: CircuitData, signs):
-    """Index of an interior circuit point whose sign opposes all others.
-
-    ``signs`` maps each index of C.points to +1 or -1.  Returns None when
-    the circuit has no interior point or the interior sign is shared.
-    """
-    i = interior_point(C)
-    if i is None:
-        return None
-    si = signs[i]
-    if all(signs[j] != si for j in range(len(C.points)) if j != i):
-        return i
-    return None
+    return [(p, q) for p in pos for q in neg]

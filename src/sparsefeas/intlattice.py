@@ -1,5 +1,4 @@
-"""Exact integer matrix algebra: determinants, Hermite and Smith forms,
-and kernels.
+"""Exact integer matrix algebra: determinants and Hermite and Smith forms.
 
 Everything here is fraction-free: Bareiss elimination for determinants and
 extended-gcd row operations for the normal forms, so intermediate entries
@@ -225,24 +224,6 @@ def smith_factor(M):
             U[k] = [-v for v in U[k]]
         k += 1
     return S, U, V
-
-
-def integer_kernel(M):
-    """A basis of the integer null space {v : M @ v == 0}, as a list of
-    integer row vectors.
-
-    Computed via the Hermite form of the transpose: rows of U whose image
-    row in H is zero form a lattice basis of the kernel.
-    """
-    n = len(M)
-    m = len(M[0]) if n else 0
-    T = [[M[i][j] for i in range(n)] for j in range(m)]
-    H, U = hermite_factor(T)
-    basis = []
-    for i in range(m):
-        if all(v == 0 for v in H[i]):
-            basis.append(list(U[i]))
-    return basis
 
 
 def primitive_vector(v):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import ParseError, ZeroPolynomialError
+from .errors import ParseError, PreconditionError, ZeroPolynomialError
 
 
 @dataclass(frozen=True)
@@ -271,25 +271,6 @@ def evaluate(f: SparsePolynomial, x: Sequence) -> Fraction:
     return total
 
 
-def _bits(v: int) -> int:
-    # One extra bit per negative integer; |0| counts as one binary digit.
-    base = max(abs(v).bit_length(), 1)
-    return base + (1 if v < 0 else 0)
-
-
-def bit_size(f: SparsePolynomial) -> int:
-    """Total binary digits over all coefficients and exponent entries.
-
-    Convention (documented, see module tests): a value v contributes
-    bitlength(|v|) digits (one digit for 0) plus one sign bit when v < 0.
-    """
-    total = 0
-    for t in f.terms:
-        total += _bits(t.coefficient)
-        total += sum(_bits(e) for e in t.exponents)
-    return total
-
-
 def to_json(f: SparsePolynomial) -> dict:
     return {
         "n": f.n,
@@ -298,8 +279,14 @@ def to_json(f: SparsePolynomial) -> dict:
 
 
 def from_json(obj) -> SparsePolynomial:
+    """The polynomial of a JSON document, or of its text, in the form of
+    the module docstring; a document of another shape raises
+    PreconditionError."""
     if isinstance(obj, str):
         obj = json.loads(obj)
-    n = int(obj["n"])
-    pairs = [(tuple(int(e) for e in t["a"]), int(t["c"])) for t in obj["terms"]]
+    try:
+        n = int(obj["n"])
+        pairs = [(tuple(int(e) for e in t["a"]), int(t["c"])) for t in obj["terms"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise PreconditionError(f"malformed polynomial JSON ({exc})") from None
     return make_polynomial(n, pairs)

@@ -181,6 +181,17 @@ def test_reduce_sat3_satisfiable(tmp_path, capsys):
     assert payload["satisfiable"] is True
 
 
+def test_reduce_sat3_brute_force_size_guard(tmp_path, capsys):
+    # 2^40 assignments; the reduction alone returns at once
+    cnf = tmp_path / "phi.cnf"
+    cnf.write_text("p cnf 40 1\n1 2 3 0\n")
+    code = run(["reduce", "sat3", "--dimacs", str(cnf), "--brute-force"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert run(["reduce", "sat3", "--dimacs", str(cnf)]) == 0
+
+
 def test_reduce_shor(tmp_path, capsys):
     src = tmp_path / "system.json"
     src.write_text(json.dumps({
@@ -258,6 +269,13 @@ def test_oracle_grid_size_guard(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_oracle_sturm_degree_guard(capsys):
+    code = run(["oracle", "sturm", "--expr", "x1^1000000000000 - 1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_oracle_product(capsys):
     code, payload = _run(
         capsys, "oracle", "product",
@@ -309,6 +327,23 @@ def test_missing_option_is_one_error_line(tmp_path, capsys, argv, named):
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["feas", "--set", "positive"], {"n": 1, "terms": 5}),
+    (["feas", "--set", "positive"], [1, 2]),
+    (["feas", "--set", "positive"], {"n": 1, "terms": [{"c": None, "a": [1]}]}),
+    (["feas", "--set", "positive"], {"n": 1, "terms": [[1]]}),
+    (["reduce", "sos"], {"polynomials": 5}),
+    (["reduce", "shor"], {"polynomials": [5]}),
+])
+def test_malformed_json_is_one_error_line(tmp_path, capsys, argv, doc):
+    src = tmp_path / "doc.json"
+    src.write_text(json.dumps(doc))
+    code = run([*argv, "--file", str(src)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_missing_file_exit_code():

@@ -14,7 +14,6 @@ from sparsefeas.exactsign import (
     binomial_sign,
     binomial_vanish,
     gcd_free_basis,
-    log_interval,
 )
 from sparsefeas.oracle import exact_product_compare
 
@@ -30,6 +29,15 @@ def _log_arguments(seed):
     for k in (rng.randint(2, 200) for _ in range(2)):
         ns += [2**k - 1, 2**k + 1]
     return ns
+
+
+def _log_enclosure(n, bits):
+    """[low, low + width] * 2^-guard from exactsign._log_fixed, the log
+    core of binomial_sign, with its width budget 2^(guard+1-bits) checked:
+    a radius of at most 2^-bits."""
+    low, width, guard = exactsign._log_fixed(n, bits)
+    assert 0 <= width <= 1 << (guard + 1 - bits), (n, bits)
+    return Fraction(low, 1 << guard), Fraction(low + width, 1 << guard)
 
 
 def _check_basis(values, basis):
@@ -92,11 +100,9 @@ def test_binomial_vanish_signs_and_zero():
 def test_log_interval_encloses_truth():
     for n in [2, 3, 10, 97, 12345, 2**20 + 1]:
         for bits in [8, 16, 40, 80]:
-            iv = log_interval(n, bits)
-            lo = iv.value - iv.radius
-            hi = iv.value + iv.radius
-            assert iv.radius > 0
-            assert Fraction(iv.radius) <= Fraction(1, 2**bits)
+            lo, hi = _log_enclosure(n, bits)
+            assert lo < hi
+            assert hi - lo <= Fraction(2, 2**bits)
             true = math.log(n)
             assert float(lo) <= true + 1e-12
             assert float(hi) >= true - 1e-12
@@ -105,33 +111,39 @@ def test_log_interval_encloses_truth():
 def test_log_interval_high_precision_consistency():
     # nested refinement: the 200-bit interval lies inside the 50-bit one
     for n in [7, 1000003]:
-        coarse = log_interval(n, 50)
-        fine = log_interval(n, 200)
-        assert coarse.value - coarse.radius <= fine.value - fine.radius
-        assert fine.value + fine.radius <= coarse.value + coarse.radius
+        coarse = _log_enclosure(n, 50)
+        fine = _log_enclosure(n, 200)
+        assert coarse[0] <= fine[0] and fine[1] <= coarse[1]
 
 
 def test_log_interval_contains_decimal_log():
     # decimal's ln is correctly rounded to prec digits: the digits of 2^-bits
-    # plus 30; ln n < 10^3 here, so it is off by less than 10^(3 - prec)
+    # plus 30; ln n < 10^3 here, so it is off by less than 10^(3 - prec).
+    # ln 1 = 0 is enclosed exactly.
     for n in _log_arguments(11):
         for bits in LOG_BITS:
+            low, high = _log_enclosure(n, bits)
+            if n == 1:
+                assert low == high == 0
+                continue
             with localcontext() as ctx:
                 ctx.prec = math.ceil(bits * math.log10(2)) + 30
                 ln = Decimal(n).ln()
                 err = Decimal(10) ** (3 - ctx.prec)
                 lo, hi = Fraction(ln - err), Fraction(ln + err)
-            iv = log_interval(n, bits)
-            assert iv.value - iv.radius <= lo and hi <= iv.value + iv.radius, (n, bits)
+            assert low <= lo and hi <= high, (n, bits)
 
 
 def test_log_interval_radius_budget():
+    # width 0 exactly at n = 1, else a radius in (0, 2^-bits]
     rng = random.Random(12)
     for n in _log_arguments(12):
         for bits in LOG_BITS + tuple(rng.randint(1, 3000) for _ in range(4)):
-            iv = log_interval(n, bits)
-            assert iv.bits == bits
-            assert 0 < iv.radius <= Fraction(1, 2**bits)
+            lo, hi = _log_enclosure(n, bits)
+            if n == 1:
+                assert lo == hi == 0
+            else:
+                assert 0 < (hi - lo) / 2 <= Fraction(1, 2**bits), (n, bits)
 
 
 def test_log_interval_refinement_nests():
@@ -139,10 +151,10 @@ def test_log_interval_refinement_nests():
     # inside the coarser one
     for n in _log_arguments(13):
         for bits in (32, 64, 128, 256, 1024):
-            coarse = log_interval(n, bits)
-            fine = log_interval(n, 2 * bits)
-            assert coarse.value - coarse.radius <= fine.value - fine.radius, (n, bits)
-            assert fine.value + fine.radius <= coarse.value + coarse.radius, (n, bits)
+            coarse = _log_enclosure(n, bits)
+            fine = _log_enclosure(n, 2 * bits)
+            assert coarse[0] <= fine[0], (n, bits)
+            assert fine[1] <= coarse[1], (n, bits)
 
 
 def test_cached_ln2_nests_in_fresh_lower_precision():

@@ -26,13 +26,14 @@ from sparsefeas.feasibility import (
     feas_simplex,
     topology_report,
 )
-from sparsefeas.geometry import facet_complements, find_circuit, initial_form
-from sparsefeas.intlattice import integer_kernel
+from sparsefeas.geometry import facet_complements, find_circuit
 from sparsefeas.oracle import grid_scan, multiple_root_count, sturm_count
 from sparsefeas.sparsepoly import evaluate, make_polynomial, parse, support, to_text
 from test_geometry import (
     _facet_normal_reference,
     _facet_scan_reference,
+    _initial_form,
+    _integer_kernel,
     _random_support,
     _rank,
 )
@@ -144,7 +145,7 @@ def _mixed_facets(f):
     initial form is a simplex of n terms with mixed coefficient signs."""
     mixed = []
     for w in _facet_scan_reference(support(f), f.n):
-        face = [t.coefficient for t in initial_form(f, w).terms]
+        face = [t.coefficient for t in _initial_form(f, w).terms]
         if len(face) == f.n and min(face) < 0 < max(face):
             mixed.append(w)
     return mixed
@@ -166,7 +167,7 @@ def test_circuit_facet_certificate_matches_subset_scan():
         fired += 1
         assert rep.classification == ALL_NONCOMPACT, str(f)
         assert repr(rep.certificate) == repr({"facet_normal": list(mixed[0])}), str(f)
-        face = initial_form(f, rep.certificate["facet_normal"]).terms
+        face = _initial_form(f, rep.certificate["facet_normal"]).terms
         assert len(face) == n and {t.coefficient > 0 for t in face} == {True, False}
     assert fired > 200 and 1000 - fired > 50  # both outcomes occur
 
@@ -244,7 +245,7 @@ def _dominant_point_reference(f, j):
         for i, t in enumerate(f.terms)
         if i != j
     ]
-    *w, s = next(v for v in integer_kernel(rows) if v[-1] != 0)
+    *w, s = next(v for v in _integer_kernel(rows) if v[-1] != 0)
     if s < 0:
         w = [-wk for wk in w]
     t = Fraction(1, 1 + sum(abs(term.coefficient) for term in f.terms))
@@ -266,7 +267,7 @@ def _facet_certificate_reference(f):
     normals = [
         _facet_normal_reference(support(f), out)
         for out in facet_complements([rel.get(j, 0) for j in range(len(coeffs))])
-        if len(out) == 2 and min(coeffs[j] for j in range(len(coeffs)) if j not in out) < 0
+        if min(coeffs[j] for j in range(len(coeffs)) if j not in out) < 0
         and max(coeffs[j] for j in range(len(coeffs)) if j not in out) > 0
     ]
     return {"facet_normal": list(min(normals))} if normals and f.n >= 2 else None
@@ -428,7 +429,7 @@ def test_embedded_circuit_is_noncompact_exactly_when_nonempty():
         assert cls == (EMPTY if base == EMPTY else ALL_NONCOMPACT), (str(g), str(f))
         seen[base] += 1
         if isinstance(cert, dict):
-            face = [t.coefficient for t in initial_form(f, cert["facet_normal"]).terms]
+            face = [t.coefficient for t in _initial_form(f, cert["facet_normal"]).terms]
             assert len(face) == len(f.terms) - 2 and min(face) < 0 < max(face), str(f)
             seen["facet"] += 1
         elif cert is not None:
@@ -476,7 +477,7 @@ def test_lower_dimensional_facet_normal_pulled_back():
     f = parse("2 + 2*x2^2*x3^4 - x2^3*x3^4 - x2^4*x3^6")
     cls, cert = classify_positive(f)
     assert cls == ALL_NONCOMPACT
-    face = initial_form(f, cert["facet_normal"])
+    face = _initial_form(f, cert["facet_normal"])
     coeffs = [t.coefficient for t in face.terms]
     assert len(coeffs) == 2 and min(coeffs) < 0 < max(coeffs)
 
@@ -645,16 +646,15 @@ def test_real_full_refuses_laurent_simplex():
 
 def test_real_full_simplex_builds_nothing(monkeypatch):
     # one-sign simplex, odd in x1: the flipped signs are read on the same
-    # support analysis, without a polynomial or an affine_function solve
-    from sparsefeas import geometry, sparsepoly
+    # support analysis, without a polynomial
+    from sparsefeas import sparsepoly
 
     f = parse("1 + x1 + x2^2")
     made = _count_calls(monkeypatch, sparsepoly.make_polynomial)
-    solves = _count_calls(monkeypatch, geometry.affine_function)
     factors = _count_hermite_calls(monkeypatch)
     rep = feas_real_full(f)
     assert (rep.positive_orthant, rep.nonzero_reals, rep.all_reals) == ("empty", "nonempty", "nonempty")
-    assert (len(made), len(solves), len(factors)) == (0, 0, 1)
+    assert (len(made), len(factors)) == (0, 1)
 
 
 def test_real_full_matches_strata_enumeration():

@@ -9,29 +9,42 @@ from pathlib import Path
 import pytest
 
 from sparsefeas.errors import PreconditionError
+from sparsefeas.feasibility import COMPACT_SPHERE, EMPTY, feas_circuit
 from sparsefeas.geometry import (
     affine_dim,
-    affine_function,
     analyze_support,
-    caged_alternation,
     facet_complements,
-    facet_normals,
-    facet_values,
     find_circuit,
-    initial_form,
     interior_point,
 )
-from sparsefeas.intlattice import integer_kernel, primitive_vector, smith_factor
-from sparsefeas.sparsepoly import parse, support
+from sparsefeas.intlattice import primitive_vector, smith_factor
+from sparsefeas.sparsepoly import make_polynomial, parse, support
 
 
 def _rank(M):
-    """Rank over Q from the Smith form, an algorithm facet_normals does
+    """Rank over Q from the Smith form, an algorithm analyze_support does
     not use."""
     if not M:
         return 0
     S = smith_factor(M)[0]
     return sum(1 for i in range(min(len(S), len(S[0]))) if S[i][i])
+
+
+def _integer_kernel(M):
+    """A lattice basis of {v : M v == 0}, as rows: the columns of V past
+    the nonzero diagonal of the Smith form U M V = S, independent of the
+    Hermite factorization that analyze_support reads its relations from."""
+    S, _, V = smith_factor(M)
+    r = sum(1 for i in range(min(len(S), len(S[0]))) if S[i][i])
+    return [[row[k] for row in V] for k in range(r, len(V))]
+
+
+def _initial_form(f, w):
+    """The subpolynomial of the terms whose exponent minimizes w . a."""
+    vals = [sum(wk * e for wk, e in zip(w, t.exponents)) for t in f.terms]
+    return make_polynomial(
+        f.n, [(t.exponents, t.coefficient) for t, v in zip(f.terms, vals) if v == min(vals)]
+    )
 
 
 def _facet_scan_reference(A, n):
@@ -43,7 +56,7 @@ def _facet_scan_reference(A, n):
     for sub in combinations(range(len(pts)), n):
         base = pts[sub[0]]
         diffs = [[pts[i][k] - base[k] for k in range(n)] for i in sub[1:]]
-        ker = integer_kernel(diffs) if diffs else [[1]]
+        ker = _integer_kernel(diffs) if diffs else [[1]]
         if len(ker) != 1:
             continue
         w = primitive_vector(ker[0])
@@ -62,7 +75,7 @@ def _facet_normal_reference(A, out):
     pts = list(A)
     face = [p for j, p in enumerate(pts) if j not in out]
     diffs = [[a - b for a, b in zip(p, face[0])] for p in face[1:]]
-    w = primitive_vector(integer_kernel(diffs)[0]) if diffs else [1]
+    w = primitive_vector(_integer_kernel(diffs)[0]) if diffs else [1]
     if sum(wk * (a - b) for wk, a, b in zip(w, pts[out[0]], face[0])) < 0:
         w = [-wk for wk in w]
     return tuple(w)
@@ -117,6 +130,14 @@ def test_find_circuit_absent_for_simplex():
     assert find_circuit([(0, 0), (1, 0), (0, 1)]) is None
 
 
+def test_find_circuit_preconditions():
+    # no points, or more than dim + 2 of them, have no one circuit
+    with pytest.raises(PreconditionError):
+        find_circuit([])
+    with pytest.raises(PreconditionError):
+        find_circuit([(0,), (1,), (2,), (3,)])
+
+
 def test_interior_point_is_unique_sign():
     pts = [(0, 0), (4, 0), (0, 4), (1, 1)]
     circuit, idx = find_circuit(pts)
@@ -132,37 +153,97 @@ def test_interior_point_none_for_degenerate_circuit():
     assert interior_point(circuit) is None
 
 
+def _facet_values(m, out):
+    """The values, up to a positive factor, of the inner affine function
+    of the facet with complement ``out``: -m_q at p and m_p at q for a
+    mixed pair, 1 at an apex z."""
+    v = [0] * len(m)
+    if len(out) == 1:
+        v[out[0]] = 1
+    else:
+        v[out[0]], v[out[1]] = -m[out[1]], m[out[0]]
+    return v
+
+
+def _column_read(an, values):
+    """primitive(sum_j values[j] S_j) over the columns S_j of an.solution,
+    as (c, w)."""
+    c, *w = primitive_vector([sum(v * x for v, x in zip(values, row)) for row in an.solution])
+    return c, tuple(w)
+
+
+def _meets(pts, cw, values):
+    """Whether c + w . a_j is a positive multiple of values[j] at every
+    point."""
+    c, w = cw
+    got = [c + sum(wk * a for wk, a in zip(w, p)) for p in pts]
+    j = next(j for j, v in enumerate(values) if v)
+    return got[j] * values[j] > 0 and all(g * values[j] == v * got[j] for g, v in zip(got, values))
+
+
+def _facet_reads(pts):
+    """Each facet complement of a full-dimensional support with at most
+    one affine relation m, mapped to the primitive (c, w) read off the
+    columns S_j of its analysis: primitive(m_p S_q - m_q S_p) for a mixed
+    pair (p, q), primitive(S_z) for an apex z (m_z = 0)."""
+    an = analyze_support(pts)
+    X = an.solution
+    m = an.kernel[0] if an.kernel else [0] * len(pts)
+    reads = {
+        (p, q): primitive_vector([m[p] * x[q] - m[q] * x[p] for x in X])
+        for p, q in facet_complements(m)
+    }
+    reads.update({(z,): primitive_vector([x[z] for x in X]) for z, v in enumerate(m) if v == 0})
+    return {out: (c, tuple(w)) for out, (c, *w) in reads.items()}
+
+
+def _facet_normals(pts):
+    return sorted(w for _, w in _facet_reads(pts).values())
+
+
 def test_facet_normals_square():
     pts = [(0, 0), (2, 0), (0, 2), (2, 2)]
-    normals = facet_normals(pts, 2)
+    normals = _facet_normals(pts)
     assert set(normals) == {(1, 0), (-1, 0), (0, 1), (0, -1)}
 
 
 def test_facet_normals_triangle():
     pts = [(0, 0), (4, 0), (0, 4), (1, 1)]
-    normals = facet_normals(pts, 2)
+    normals = _facet_normals(pts)
     assert set(normals) == {(1, 0), (0, 1), (-1, -1)}
 
 
 def test_facet_normals_segment():
-    assert set(facet_normals([(0,), (5,)], 1)) == {(1,), (-1,)}
+    assert set(_facet_normals([(0,), (5,)])) == {(1,), (-1,)}
+
+
+def _points_off_facet(pts, w):
+    """How many points lie strictly above the minimum of w . a."""
+    vals = [sum(wk * a for wk, a in zip(w, p)) for p in pts]
+    return sum(1 for v in vals if v > min(vals))
 
 
 def test_facet_normals_match_subset_scan():
+    # the Gale rule: the mixed-pair reads are the normals of the facets
+    # that leave out exactly two points, the apex reads those of the rest
     rng = random.Random(2024)
     kinds = {}
     for k in range(1200):
         n = 1 + k % 5
         kind = rng.choice(("simplex", "circuit", "pyramid") if n > 1 else ("simplex", "circuit"))
         pts = _random_support(rng, n, kind)
-        assert facet_normals(pts, n) == _facet_scan_reference(pts, n), pts
+        scan = _facet_scan_reference(pts, n)
+        reads = _facet_reads(pts)
+        pairs = sorted(w for out, (_, w) in reads.items() if len(out) == 2)
+        assert pairs == [w for w in scan if _points_off_facet(pts, w) == 2], pts
+        assert sorted(w for _, w in reads.values()) == scan, pts
         kinds[kind] = kinds.get(kind, 0) + 1
     assert min(kinds.values()) >= 300
 
 
 def test_facet_normal_solves_match_kernel_rule():
-    # each facet's normal is one back substitution against the support's
-    # Hermite form; it must equal the facet's own kernel, oriented
+    # each facet's normal is a column read of the support's one adjugate
+    # solve; it must equal the facet's own kernel, oriented
     rng = random.Random(4242)
     facets = 0
     for k in range(1000):
@@ -171,12 +252,12 @@ def test_facet_normal_solves_match_kernel_rule():
         pts = _random_support(rng, n, kind)
         an = analyze_support(pts)
         assert an.rank == n + 1
-        # the relation as the (1 | a_j) kernel gives it, unnormalized
-        ker = integer_kernel([[1] * len(pts)] + [list(col) for col in zip(*pts)])
-        assert [list(row) for row in an.kernel] == ker
-        m = ker[0] if ker else [0] * len(pts)
-        for out in facet_complements(m):
-            c, w = affine_function(an, facet_values(m, out))
+        # the relation of the (1 | a_j) kernel, a lattice of rank <= 1 whose
+        # basis is unique up to sign
+        ker = _integer_kernel([[1] * len(pts)] + [list(col) for col in zip(*pts)])
+        assert len(an.kernel) == len(ker)
+        assert all(list(a) in (b, [-x for x in b]) for a, b in zip(an.kernel, ker))
+        for out, (c, w) in _facet_reads(pts).items():
             assert w == _facet_normal_reference(pts, out), (pts, out)
             vals = [c + sum(wk * a for wk, a in zip(w, p)) for p in pts]
             assert all(v == 0 for j, v in enumerate(vals) if j not in out)
@@ -186,8 +267,10 @@ def test_facet_normal_solves_match_kernel_rule():
 
 
 def test_affine_function_lower_dimensional():
-    # rank-deficient supports have free columns: the solver sets them to
-    # 0 and still meets every prescribed value, up to one positive factor
+    # rank-deficient supports have free columns: the solve sets them to 0,
+    # and the weighted read of any values and the one-column read
+    # primitive(D e_0 - S_j) still meet their values, up to one positive
+    # factor, as the reference back substitution does
     rng = random.Random(99)
     for _ in range(300):
         n = rng.randint(2, 5)
@@ -198,19 +281,27 @@ def test_affine_function_lower_dimensional():
         an = analyze_support(pts)
         if an.kernel:
             continue
+        assert an.rank <= n
+        X, D = an.solution, _pivot_product(an)
+        for j in range(len(pts)):
+            values = [int(i != j) for i in range(len(pts))]
+            read = primitive_vector([D - X[0][j], *(-x[j] for x in X[1:])])
+            assert (read[0], tuple(read[1:])) == _affine_function_reference(an, values), pts
+            if any(values):
+                assert _meets(pts, (read[0], read[1:]), values), pts
         values = [rng.randint(0, 5) for _ in pts]
         if not any(values):
             continue
-        c, w = affine_function(an, values)
-        got = [c + sum(wk * a for wk, a in zip(w, p)) for p in pts]
-        j = next(j for j, v in enumerate(values) if v)
-        assert got[j] * values[j] > 0
-        assert all(g * values[j] == v * got[j] for g, v in zip(got, values))
+        cw = _column_read(an, values)
+        assert cw == _affine_function_reference(an, values), pts
+        assert _meets(pts, cw, values), pts
 
 
 def _affine_function_reference(an, values):
-    """affine_function by its own back substitution of H x = U values,
-    free columns 0, scaled by the product D of the pivots."""
+    """The primitive (c, w) with c + w . a_j a positive multiple of
+    values[j] at every point, by its own back substitution of
+    H x = U values, free columns 0, scaled by the product D of the
+    pivots."""
     H, r = an.H, an.rank
     pivots = [next(k for k, h in enumerate(row) if h) for row in H[:r]]
     D = prod(row[p] for row, p in zip(H, pivots))
@@ -236,7 +327,7 @@ def test_affine_function_matches_back_substitution():
     # the one adjugate solve per support, summed over the nonzero values,
     # equals a fresh back substitution for every facet and every dominant
     # direction 1 - e_j; values that are not orthogonal to the relations
-    # are refused
+    # are no affine function's values
     rng = random.Random(77)
     solves = refused = 0
     for k in range(1200):
@@ -250,15 +341,17 @@ def test_affine_function_matches_back_substitution():
         if len(an.kernel) > 1:
             continue
         m = an.kernel[0] if an.kernel else [0] * len(pts)
-        vectors = [facet_values(m, out) for out in facet_complements(m)]
+        apexes = [(z,) for z, v in enumerate(m) if v == 0]
+        vectors = [_facet_values(m, out) for out in facet_complements(m) + apexes]
         vectors += [[int(i != j) for i in range(len(pts))] for j in range(len(pts))]
         for values in vectors:
             if sum(a * b for a, b in zip(m, values)):
-                with pytest.raises(PreconditionError):
-                    affine_function(an, values)
+                assert not _meets(pts, _column_read(an, values), values), pts
                 refused += 1
             elif any(values):
-                assert affine_function(an, values) == _affine_function_reference(an, values)
+                cw = _column_read(an, values)
+                assert cw == _affine_function_reference(an, values), pts
+                assert _meets(pts, cw, values), pts
                 solves += 1
     assert solves > 7000 and refused > 1000, (solves, refused)
 
@@ -297,7 +390,7 @@ def test_solution_columns_sum_to_pivot_product():
 def test_column_reads_match_affine_function():
     # a facet normal of a mixed pair (p, q) is primitive(m_p S_q - m_q S_p)
     # and the dominant direction of term j is primitive(D e_0 - S_j), both
-    # equal to affine_function's (c, w) for the same values
+    # equal to the reference back substitution's (c, w) for the same values
     rng = random.Random(1202)
     pairs = directions = 0
     for pts in _mixed_supports(rng, 1200):
@@ -306,40 +399,22 @@ def test_column_reads_match_affine_function():
             continue
         X, D = an.solution, _pivot_product(an)
         m = an.kernel[0] if an.kernel else [0] * len(pts)
-        for out in facet_complements(m):
-            if len(out) == 2:
-                p, q = out
-                read = primitive_vector([m[p] * x[q] - m[q] * x[p] for x in X])
-                want = affine_function(an, facet_values(m, out))
-                assert (read[0], tuple(read[1:])) == want, pts
-                pairs += 1
+        for p, q in facet_complements(m):
+            read = primitive_vector([m[p] * x[q] - m[q] * x[p] for x in X])
+            want = _affine_function_reference(an, _facet_values(m, (p, q)))
+            assert (read[0], tuple(read[1:])) == want, pts
+            pairs += 1
         for j in (j for j, v in enumerate(m) if v == 0):
             read = primitive_vector([D - X[0][j], *(-x[j] for x in X[1:])])
             values = [int(i != j) for i in range(len(pts))]
-            assert (read[0], tuple(read[1:])) == affine_function(an, values), pts
+            assert (read[0], tuple(read[1:])) == _affine_function_reference(an, values), pts
             directions += 1
     assert pairs > 1000 and directions > 2000
 
 
-def test_affine_function_refuses_values_off_the_relations():
-    # 1, 0, 0 on the collinear 0, 1, 2 is no affine function's values
-    with pytest.raises(PreconditionError):
-        affine_function(analyze_support([(0,), (1,), (2,)]), [1, 0, 0])
-    assert affine_function(analyze_support([(0,), (1,), (2,)]), [0, 1, 2]) == (0, (1,))
-
-
-def test_facet_normals_preconditions():
-    with pytest.raises(PreconditionError):
-        facet_normals([(0, 0), (1, 1), (2, 2)], 2)  # a segment in R^2
-    with pytest.raises(PreconditionError):
-        facet_normals([(0,), (1,), (2,), (3,)], 1)  # more than n + 2 points
-    with pytest.raises(PreconditionError):
-        facet_normals([], 1)
-
-
 def test_initial_form_selects_face():
     f = parse("1 + x1^4 + x2^4 - 3*x1*x2")
-    g = initial_form(f, (-1, -1))
+    g = _initial_form(f, (-1, -1))
     # the face minimizing <(-1,-1), a> is {(4,0),(0,4)}... actually the
     # maximizing convention keeps the terms supported on the chosen face
     pts = support(g).points
@@ -348,13 +423,11 @@ def test_initial_form_selects_face():
 
 
 def test_caged_alternation():
-    pts = [(0, 0), (4, 0), (0, 4), (1, 1)]
-    circuit, idx = find_circuit(pts)
-    coeffs = {(0, 0): 1, (4, 0): 1, (0, 4): 1, (1, 1): -3}
-    signs = [1 if coeffs[pts[i]] > 0 else -1 for i in idx]
-    assert caged_alternation(circuit, signs)
-    signs_bad = [1, 1, 1, 1]
-    assert not caged_alternation(circuit, signs_bad)
+    # the interior point (1, 1) alone negative cages the alternation, and
+    # the discriminant then finds a compact sphere; with one sign
+    # throughout there is no alternation, and Z_+ is empty
+    assert feas_circuit(parse("1 + x1^4 + x2^4 - 3*x1*x2")).classification == COMPACT_SPHERE
+    assert feas_circuit(parse("1 + x1^4 + x2^4 + 3*x1*x2")).classification == EMPTY
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "sparsefeas"
@@ -396,5 +469,5 @@ def test_only_analyze_support_factors():
         "geometry.import in module",
         "__init__.import in module",
     }
-    # the helper sees a call inside intlattice
-    assert "integer_kernel" in _callers(SRC / "intlattice.py", "hermite_factor")
+    # the helper sees calls inside intlattice
+    assert {"hermite_factor", "smith_factor"} <= _callers(SRC / "intlattice.py", "_egcd")

@@ -101,6 +101,17 @@ def test_grid_scan_size_guard():
     assert grid_scan(f, [(0, 3)] * 8, Fraction(1)) == {"zero": (0,) * 8}
 
 
+def test_sturm_degree_guard():
+    # a dense list of 10^12 + 1 entries would be built before anything
+    # else; the guard fires first, in both oracles that build one
+    huge = parse("x1^1000000000000 - 1")
+    with pytest.raises(ScaleLimitError):
+        sturm_count(huge)
+    with pytest.raises(ScaleLimitError):
+        multiple_root_count(huge)
+    assert sturm_count(parse("x1^1000 - 1")) == 2
+
+
 def test_exact_product_compare_matches_expansion():
     rng = random.Random(55)
     for _ in range(100):

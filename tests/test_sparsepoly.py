@@ -4,9 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from sparsefeas.errors import ParseError, ZeroPolynomialError
+from sparsefeas.errors import ParseError, PreconditionError, ZeroPolynomialError
 from sparsefeas.sparsepoly import (
-    bit_size,
     evaluate,
     from_json,
     make_polynomial,
@@ -77,13 +76,18 @@ def test_evaluate_laurent_at_zero_fails():
         evaluate(f, [0])
 
 
-def test_bit_size_convention():
-    # one binary digit for the constant 1, plus one digit for exponent 0
-    assert bit_size(parse("1")) == 2
-    # x1^8: coefficient 1 (1 digit) + exponent 8 (4 digits)
-    assert bit_size(parse("x1^8")) == 5
-    # -x1: |-1| is one digit plus a sign bit, exponent 1 is one digit
-    assert bit_size(parse("0 - x1")) == 3
+@pytest.mark.parametrize("doc", [
+    {"n": 1, "terms": 5},
+    [1, 2],
+    {"n": 1, "terms": [{"c": None, "a": [1]}]},
+    {"n": 1, "terms": [[1]]},
+    {"terms": [{"c": "1", "a": [1]}]},
+    {"n": "one", "terms": []},
+    "5",
+])
+def test_from_json_rejects_malformed_shapes(doc):
+    with pytest.raises(PreconditionError, match="malformed polynomial JSON"):
+        from_json(doc)
 
 
 def test_make_polynomial_rejects_cancellation():
