@@ -35,23 +35,16 @@ from .sparsepoly import (
 )
 
 
-def _serialize(obj):
+def _encode(obj):
+    """The JSON form of the values json does not know."""
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, DegeneratePoint):
         if obj.coordinates is not None:
             coords = [str(c) for c in obj.coordinates]
             return coords[0] if len(coords) == 1 else coords
-        return {
-            "rhos": [str(r) for r in obj.rhos],
-            "orders": list(obj.orders),
-            "mixing": [list(row) for row in obj.mixing],
-        }
-    if isinstance(obj, dict):
-        return {k: _serialize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_serialize(v) for v in obj]
-    return obj
+        return {"rhos": obj.rhos, "orders": obj.orders, "mixing": obj.mixing}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _load_poly(args) -> SparsePolynomial:
@@ -72,16 +65,16 @@ def _required(value, option: str):
 
 def _emit(payload) -> int:
     # witnesses may pass the int-to-str digit guard (Python >= 3.10.7);
-    # it is lifted only while writing, so that parsing input keeps it
+    # it is lifted only while encoding, so that parsing input keeps it
     limit = getattr(sys, "get_int_max_str_digits", int)()
     try:
         if limit:
             sys.set_int_max_str_digits(0)
-        json.dump(_serialize(payload), sys.stdout)
+        text = json.dumps(payload, default=_encode)
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
-    sys.stdout.write("\n")
+    sys.stdout.write(text + "\n")
     return 0
 
 
@@ -144,6 +137,11 @@ def _cmd_topology(args) -> int:
     return _emit(topology_report(f))
 
 
+# each variable adds a binomial with two exponent vectors of length n: at
+# this bound the output has 2 * 10^6 exponent entries, about 6 MB of JSON
+_SAT3_MAX_VARS = 1000
+
+
 def _read_dimacs(path: str) -> Sat3Formula:
     num_vars = 0
     clauses = []
@@ -159,6 +157,14 @@ def _read_dimacs(path: str) -> Sat3Formula:
                         f"bad DIMACS header {line!r}: expected 'p cnf <vars> <clauses>'"
                     )
                 num_vars = int(parts[2])
+                if num_vars < 0:
+                    raise PreconditionError(
+                        f"bad DIMACS header {line!r}: negative variable count"
+                    )
+                if num_vars > _SAT3_MAX_VARS:
+                    raise ScaleLimitError(
+                        f"{num_vars} variables exceed the reduce sat3 guard of {_SAT3_MAX_VARS}"
+                    )
                 continue
             lits = [int(v) for v in line.split()]
             if lits and lits[-1] == 0:
@@ -186,25 +192,21 @@ def _load_system(args) -> PolySystem:
 _BRUTE_FORCE_MAX_VARS = 16
 
 
-def _brute_force_binary(F: PolySystem) -> bool:
-    n = F.n
-    if n > _BRUTE_FORCE_MAX_VARS:
-        raise ScaleLimitError(
-            f"{n} variables exceed the --brute-force guard of {_BRUTE_FORCE_MAX_VARS}"
-        )
-    for bits in product((0, 1), repeat=n):
-        if all(evaluate(p, bits[: p.n]) == 0 for p in F.polynomials):
-            return True
-    return False
-
-
 def _cmd_reduce(args) -> int:
     if args.gadget == "sat3":
         phi = _read_dimacs(_required(args.dimacs, "--dimacs"))
+        n = phi.num_vars
+        if args.brute_force and n > _BRUTE_FORCE_MAX_VARS:
+            raise ScaleLimitError(
+                f"{n} variables exceed the --brute-force guard of {_BRUTE_FORCE_MAX_VARS}"
+            )
         F = sat3_to_system(phi)
         payload = _system_json(F)
         if args.brute_force:
-            payload["satisfiable"] = _brute_force_binary(F)
+            payload["satisfiable"] = any(
+                all(evaluate(p, bits[: p.n]) == 0 for p in F.polynomials)
+                for bits in product((0, 1), repeat=n)
+            )
         return _emit(payload)
     F = _load_system(args)
     if args.gadget == "shor":

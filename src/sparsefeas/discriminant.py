@@ -142,23 +142,22 @@ def degenerate_point(D: CircuitDiscriminant) -> DegeneratePoint:
     E = [[p[k] - base[k] for k in range(n)] for p in pts[1:]]
     r = [Fraction(m[i] * c[0], m[0] * c[i]) for i in range(1, len(pts))]
     S, U, V = smith_factor(E)
-    rows = len(E)
-    rhos = []
-    orders = []
-    for i in range(rows):
+    # only the rank rows constrain zeta: the one row of U past the rank is
+    # +-(m_2, ..., m_k), whose rho (prod_j (m_j/c_j)^(m_j))^(+-1) is 1
+    # exactly when the discriminant vanishes, as required above
+    rhos, orders = [], []
+    for i in range(min(len(S), n)):
+        if not S[i][i]:
+            continue
         rho = Fraction(1)
         for j, rj in enumerate(r):
             e = U[i][j]
             if e:
                 rho *= rj ** e
-        if i < n and i < len(S) and S[i][i] != 0:
-            rhos.append(rho)
-            orders.append(S[i][i])
-        elif rho != 1:
-            raise NoRealSolutionError("binomial system is inconsistent")
-    for rho in rhos:
         if rho <= 0:
             raise NoRealSolutionError("no degenerate point in the positive orthant")
+        rhos.append(rho)
+        orders.append(S[i][i])
     mixing = tuple(tuple(V[j][k] for k in range(len(orders))) for j in range(n))
     coords = None
     if all(s == 1 for s in orders):

@@ -6,9 +6,11 @@ systems are rewritten in a normal form of linear trinomials and
 binomials of degree at most two; and a system collapses to a single
 sum-of-squares polynomial with the same real zero set.
 
-Polynomial arithmetic here is internal (dict-based), since the gadget
-construction needs products and sums that the core data model
-deliberately does not provide.
+The gadgets need sums and products, which the core data model
+deliberately does not provide, so they share one internal algebra: a
+polynomial is a dict from sparse monomials -- sorted tuples of
+(variable index, nonzero exponent) pairs, variables counted from 0 -- to
+integer coefficients.
 """
 
 from __future__ import annotations
@@ -50,17 +52,18 @@ class PolySystem:
         return max(p.n for p in self.polynomials)
 
 
-# -- internal dict polynomials: {exponent tuple: coefficient} ---------------
+# -- the sparse monomial algebra -------------------------------------------
 
 
-def _d_from(f: SparsePolynomial, n: int) -> dict:
-    out = {}
-    for t in f.terms:
-        out[tuple(t.exponents) + (0,) * (n - f.n)] = t.coefficient
-    return out
+def _times(a: tuple, b: tuple) -> tuple:
+    """The product of two monomials."""
+    acc = dict(a)
+    for i, e in b:
+        acc[i] = acc.get(i, 0) + e
+    return tuple(sorted((i, e) for i, e in acc.items() if e))
 
 
-def _d_add(a: dict, b: dict, scale: int = 1) -> dict:
+def _add(a: dict, b: dict, scale: int = 1) -> dict:
     out = dict(a)
     for k, v in b.items():
         out[k] = out.get(k, 0) + scale * v
@@ -69,28 +72,48 @@ def _d_add(a: dict, b: dict, scale: int = 1) -> dict:
     return out
 
 
-def _d_mul(a: dict, b: dict) -> dict:
+def _mul(a: dict, b: dict) -> dict:
     out: dict = {}
     for ka, va in a.items():
         for kb, vb in b.items():
-            k = tuple(x + y for x, y in zip(ka, kb))
+            k = _times(ka, kb)
             out[k] = out.get(k, 0) + va * vb
-            if out[k] == 0:
-                del out[k]
-    return out
+    return {k: v for k, v in out.items() if v}
 
 
-def _d_poly(d: dict, n: int) -> SparsePolynomial:
-    return make_polynomial(n, [(k, v) for k, v in d.items()])
+def _from(f: SparsePolynomial) -> dict:
+    return {tuple((i, e) for i, e in enumerate(t.exponents) if e): t.coefficient
+            for t in f.terms}
 
 
-def _literal(lit: int, n: int) -> dict:
-    e = [0] * n
-    e[abs(lit) - 1] = 1
-    x = {tuple(e): 1}
-    if lit > 0:
-        return x
-    return _d_add({(0,) * n: 1}, x, scale=-1)
+def _poly(d: dict, n: int) -> SparsePolynomial:
+    pairs = []
+    for mono, c in d.items():
+        vec = [0] * n
+        for i, e in mono:
+            vec[i] = e
+        pairs.append((vec, c))
+    return make_polynomial(n, pairs)
+
+
+def _halves(m: tuple) -> tuple[tuple, tuple]:
+    """Split a monomial of degree >= 2 into two of positive degree, as
+    balanced as possible: the first takes floor(deg/2) from the front."""
+    rest = sum(e for _, e in m) // 2
+    left, right = [], []
+    for i, e in m:
+        take = min(e, rest)
+        rest -= take
+        if take:
+            left.append((i, take))
+        if e > take:
+            right.append((i, e - take))
+    return tuple(left), tuple(right)
+
+
+def _literal(lit: int) -> dict:
+    x = {((abs(lit) - 1, 1),): 1}
+    return x if lit > 0 else _add({(): 1}, x, scale=-1)
 
 
 def sat3_to_system(phi: Sat3Formula) -> PolySystem:
@@ -103,117 +126,15 @@ def sat3_to_system(phi: Sat3Formula) -> PolySystem:
     """
     n = phi.num_vars
     polys = []
-    one = {(0,) * n: 1}
     for clause in phi.clauses:
-        acc = _literal(clause[0], n)
+        acc = _literal(clause[0])
         for lit in clause[1:]:
-            g = _literal(lit, n)
-            acc = _d_add(_d_add(acc, g), _d_mul(acc, g), scale=-1)
-        polys.append(_d_poly(_d_add(acc, one, scale=-1), n))
+            g = _literal(lit)
+            acc = _add(_add(acc, g), _mul(acc, g), scale=-1)
+        polys.append(_poly(_add(acc, {(): 1}, scale=-1), n))
     for i in range(n):
-        e1 = [0] * n
-        e1[i] = 1
-        e2 = [0] * n
-        e2[i] = 2
-        polys.append(_d_poly({tuple(e1): 1, tuple(e2): -1}, n))
+        polys.append(_poly({((i, 1),): 1, ((i, 2),): -1}, n))
     return PolySystem(tuple(polys))
-
-
-# -- Shor normal form -------------------------------------------------------
-#
-# Internally a monomial over the final variable list is a frozenset-free
-# sorted tuple of (variable index, exponent) pairs; variables 0..n-1 are
-# the originals, n.. are introduced in order.
-
-
-def _mono(*pairs):
-    return tuple(sorted((i, e) for i, e in pairs if e))
-
-
-def _mono_mul(a, b):
-    acc: dict = {}
-    for i, e in a:
-        acc[i] = acc.get(i, 0) + e
-    for i, e in b:
-        acc[i] = acc.get(i, 0) + e
-    return tuple(sorted(acc.items()))
-
-
-def _split_exponent(e):
-    """Split an exponent vector of total degree >= 2 into two halves of
-    positive degree, as balanced as possible."""
-    half = sum(e) // 2
-    left = [0] * len(e)
-    remaining = half
-    for i, v in enumerate(e):
-        take = min(v, remaining)
-        left[i] = take
-        remaining -= take
-        if remaining == 0:
-            break
-    right = tuple(a - b for a, b in zip(e, left))
-    return tuple(left), right
-
-
-class _ShorBuilder:
-    def __init__(self, n: int):
-        self.n = n
-        self.total = n
-        self.memo: dict[tuple, int] = {}
-        self.equations: list[dict] = []
-
-    def fresh(self) -> int:
-        i = self.total
-        self.total += 1
-        return i
-
-    def var_for(self, e) -> int:
-        """The variable carrying the value of base monomial x^e, deg >= 2,
-        introducing its defining binomial on first use."""
-        if e in self.memo:
-            return self.memo[e]
-        left, right = _split_exponent(e)
-        prod = _mono_mul(self.base_rep(left), self.base_rep(right))
-        y = self.fresh()
-        self.memo[e] = y
-        self.equations.append({_mono((y, 1)): 1, prod: -1})
-        return y
-
-    def base_rep(self, e):
-        """A single final variable (or constant) equal to x^e."""
-        deg = sum(e)
-        if deg == 0:
-            return _mono()
-        if deg == 1:
-            i = next(k for k, v in enumerate(e) if v)
-            return _mono((i, 1))
-        return _mono((self.var_for(tuple(e)), 1))
-
-    def term_rep(self, e, allow_product=False):
-        """Monomial over the final variables for x^e; a degree-2 product
-        of two representatives is allowed when requested."""
-        deg = sum(e)
-        if allow_product and deg >= 2:
-            left, right = _split_exponent(tuple(e))
-            return _mono_mul(self.base_rep(left), self.base_rep(right))
-        return self.base_rep(tuple(e))
-
-
-def _chain_split(terms, builder):
-    """Break a linear polynomial with > 3 terms into linear trinomials
-    via fresh partial-sum variables."""
-    out = []
-    (e1, c1), (e2, c2) = terms[0], terms[1]
-    w = builder.fresh()
-    out.append({_mono((w, 1)): 1, e1: -c1, e2: -c2})
-    for k in range(2, len(terms) - 1):
-        e, c = terms[k]
-        w2 = builder.fresh()
-        out.append({_mono((w2, 1)): 1, _mono((w, 1)): -1, e: -c})
-        w = w2
-    e, c = terms[-1]
-    out.append({_mono((w, 1)): 1, e: c})
-    return out
 
 
 def shor_normal_form(F: PolySystem) -> PolySystem:
@@ -225,45 +146,58 @@ def shor_normal_form(F: PolySystem) -> PolySystem:
     extend uniquely to roots of the output, and output roots project to
     input roots.
     """
-    n = F.n
     for p in F.polynomials:
         if p.is_laurent:
             raise PreconditionError("normal form requires polynomial exponents")
-    b = _ShorBuilder(n)
+    total = F.n
+    memo: dict[tuple, tuple] = {}
+    equations = []
+
+    def fresh() -> tuple:
+        nonlocal total
+        total += 1
+        return ((total - 1, 1),)
+
+    def rep(m: tuple) -> tuple:
+        """A monomial of degree <= 1 equal to m, introducing a variable
+        and its defining binomial on the first use of each m of degree
+        >= 2 (its halves first)."""
+        if sum(e for _, e in m) < 2:
+            return m
+        if m not in memo:
+            left, right = _halves(m)
+            prod = _times(rep(left), rep(right))
+            memo[m] = fresh()
+            equations.append({memo[m]: 1, prod: -1})
+        return memo[m]
+
     rewritten = []
     for p in F.polynomials:
-        terms = [
-            (tuple(t.exponents) + (0,) * (n - p.n), t.coefficient) for t in p.terms
-        ]
+        terms = list(_from(p).items())
         if len(terms) <= 2:
-            rewritten.append(
-                {b.term_rep(e, allow_product=True): c for e, c in terms}
-            )
+            # a binomial keeps a product of two representatives
+            rewritten.append({_times(*map(rep, _halves(m))): c for m, c in terms})
             continue
-        lin = [(b.term_rep(e), c) for e, c in terms]
+        lin = [(rep(m), c) for m, c in terms]
         if len(lin) <= 3:
             rewritten.append(dict(lin))
-        else:
-            rewritten.extend(_chain_split(lin, b))
-    total = b.total
-
-    def to_poly(d):
-        pairs = []
-        for mono, c in d.items():
-            vec = [0] * total
-            for i, e in mono:
-                vec[i] = e
-            pairs.append((tuple(vec), c))
-        return make_polynomial(total, pairs)
-
-    return PolySystem(tuple(to_poly(d) for d in rewritten + b.equations))
+            continue
+        # chain the partial sums w_k of a long linear polynomial
+        (m1, c1), (m2, c2), *middle, (ml, cl) = lin
+        w = fresh()
+        rewritten.append({w: 1, m1: -c1, m2: -c2})
+        for m, c in middle:
+            w2 = fresh()
+            rewritten.append({w2: 1, w: -1, m: -c})
+            w = w2
+        rewritten.append({w: 1, ml: cl})
+    return PolySystem(tuple(_poly(d, total) for d in rewritten + equations))
 
 
 def sos_aggregate(F: PolySystem) -> SparsePolynomial:
     """Sum of squares of the system: one polynomial, same real zero set."""
-    n = F.n
     acc: dict = {}
     for p in F.polynomials:
-        d = _d_from(p, n)
-        acc = _d_add(acc, _d_mul(d, d))
-    return _d_poly(acc, n)
+        d = _from(p)
+        acc = _add(acc, _mul(d, d))
+    return _poly(acc, F.n)

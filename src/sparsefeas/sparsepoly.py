@@ -15,7 +15,8 @@ Text grammar (whitespace insignificant)::
 
 The number of variables of a parsed polynomial is the largest variable
 index occurring in the text (at least 1).  The JSON form is
-``{"n": int, "terms": [{"c": "<decimal>", "a": [int, ...]}]}``.
+``{"n": int, "terms": [{"c": "<decimal>", "a": [int, ...]}]}``; a
+coefficient may also be a JSON integer, and bools are not integers.
 
 The zero polynomial is rejected everywhere: every downstream algorithm
 assumes at least one term with a nonzero coefficient.
@@ -278,15 +279,28 @@ def to_json(f: SparsePolynomial) -> dict:
     }
 
 
+def _json_int(v, text: bool = False) -> int:
+    """A JSON integer (not a bool) or, with text, a decimal integer string."""
+    if type(v) is int:
+        return v
+    if text and isinstance(v, str) and re.fullmatch(r"[+-]?[0-9]+", v):
+        return int(v)
+    raise TypeError(f"{v!r} is not an integer")
+
+
 def from_json(obj) -> SparsePolynomial:
     """The polynomial of a JSON document, or of its text, in the form of
-    the module docstring; a document of another shape raises
-    PreconditionError."""
+    the module docstring; a document of another shape or with values of
+    other types raises PreconditionError."""
     if isinstance(obj, str):
         obj = json.loads(obj)
     try:
-        n = int(obj["n"])
-        pairs = [(tuple(int(e) for e in t["a"]), int(t["c"])) for t in obj["terms"]]
+        n = _json_int(obj["n"])
+        pairs = []
+        for t in obj["terms"]:
+            if not isinstance(t["a"], list):
+                raise TypeError("exponents are not an array")
+            pairs.append(([_json_int(e) for e in t["a"]], _json_int(t["c"], text=True)))
     except (KeyError, TypeError, ValueError) as exc:
         raise PreconditionError(f"malformed polynomial JSON ({exc})") from None
     return make_polynomial(n, pairs)

@@ -46,6 +46,15 @@ def test_feas_positive_singular(capsys):
     assert payload["witness"] == "1"
 
 
+def test_feas_positive_irrational_witness(capsys):
+    # (x1^2 - 2)^2: the singular point sqrt(2) is reported as rho^(1/s)
+    code, payload = _run(
+        capsys, "feas", "--set", "positive", "--expr", "x1^4 - 4*x1^2 + 4"
+    )
+    assert code == 0
+    assert payload["witness"] == {"rhos": ["2"], "orders": [2], "mixing": [[1]]}
+
+
 def test_feas_positive_empty(capsys):
     code, payload = _run(capsys, "feas", "--set", "positive", "--expr", "1 + x1 + x1^3")
     assert code == 0
@@ -192,6 +201,25 @@ def test_reduce_sat3_brute_force_size_guard(tmp_path, capsys):
     assert run(["reduce", "sat3", "--dimacs", str(cnf)]) == 0
 
 
+@pytest.mark.parametrize("header, named", [
+    ("p cnf 1000000000 1", "guard of 1000"),
+    ("p cnf -3 1", "bad DIMACS header 'p cnf -3 1'"),
+])
+@pytest.mark.parametrize("flags", [[], ["--brute-force"]])
+def test_reduce_sat3_header_guard(tmp_path, capsys, monkeypatch, header, named, flags):
+    # the header alone is refused, before any polynomial is built
+    monkeypatch.setattr(
+        "sparsefeas.cli.sat3_to_system", lambda phi: pytest.fail("system built")
+    )
+    cnf = tmp_path / "phi.cnf"
+    cnf.write_text(f"{header}\n1 2 3 0\n")
+    code = run(["reduce", "sat3", "--dimacs", str(cnf), *flags])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert named in captured.err
+
+
 def test_reduce_shor(tmp_path, capsys):
     src = tmp_path / "system.json"
     src.write_text(json.dumps({
@@ -336,6 +364,9 @@ def test_missing_option_is_one_error_line(tmp_path, capsys, argv, named):
     (["feas", "--set", "positive"], {"n": 1, "terms": [[1]]}),
     (["reduce", "sos"], {"polynomials": 5}),
     (["reduce", "shor"], {"polynomials": [5]}),
+    (["feas", "--set", "positive"],
+     {"n": 2, "terms": [{"c": "1", "a": "12"}, {"c": 2.9, "a": [0, 0]}]}),
+    (["feas", "--set", "positive"], {"n": 2.7, "terms": [{"c": True, "a": [1, 0]}]}),
 ])
 def test_malformed_json_is_one_error_line(tmp_path, capsys, argv, doc):
     src = tmp_path / "doc.json"

@@ -173,3 +173,30 @@ def test_sos_aggregate_shares_roots():
     g = sos_aggregate(system)
     assert evaluate(g, [Fraction(2), Fraction(2)]) == 0
     assert evaluate(g, [Fraction(2), Fraction(3)]) > 0
+
+
+@pytest.mark.parametrize("expr, n, texts", [
+    ("x2 - x1^7", 5, ["-x4*x5 + x2", "x3 - x1^2", "x4 - x1*x3", "x5 - x3^2"]),
+    # five terms: the linear form is chained through partial sums x11..x13
+    ("x1^3*x2 + 2*x1*x2^2 - x3^4 + x1 - 5", 13, [
+        "5 + x11 + x5", "x12 - x11 - x1", "x13 - x12 - 2*x7", "x13 + x10",
+        "x4 - x3^2", "x5 - x4^2", "x6 - x2^2", "x7 - x1*x6", "x8 - x1^2",
+        "x9 - x1*x2", "x10 - x8*x9",
+    ]),
+    # a binomial keeps the product of its monomial's two halves
+    ("x1^2*x2^3 - 7", 5, ["-7 + x3*x5", "x3 - x1^2", "x4 - x2^2", "x5 - x2*x4"]),
+])
+def test_shor_exact_output(expr, n, texts):
+    # fresh variables are numbered post-order, one per distinct monomial
+    # of degree >= 2, then one per partial sum; definitions come last
+    out = shor_normal_form(PolySystem((parse(expr),)))
+    assert out.n == n
+    assert [to_text(f) for f in out.polynomials] == texts
+
+
+def test_sat3_exact_output():
+    out = sat3_to_system(Sat3Formula(3, ((-3, 1, 1),)))
+    assert out.n == 3
+    assert [to_text(f) for f in out.polynomials] == [
+        "-x3 + 2*x1*x3 - x1^2*x3", "x1 - x1^2", "x2 - x2^2", "x3 - x3^2",
+    ]
