@@ -30,7 +30,7 @@ class NoRealSolutionError(SparseFeasError):
 
 
 class ScaleLimitError(SparseFeasError):
-    """A brute-force oracle was asked to expand something beyond its guard."""
+    """An input would expand beyond a size guard (an oracle or an output)."""
 
 
 class PrecisionLimitError(SparseFeasError):

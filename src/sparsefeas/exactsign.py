@@ -43,6 +43,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, prod
 
 from .errors import PreconditionError, PrecisionLimitError
@@ -64,52 +65,30 @@ class GcdFreeBasis:
     exponent_matrix: tuple[tuple[int, ...], ...]
 
 
-def _refine_pairwise_coprime(items):
-    """Shrink a multiset of integers > 1 to a pairwise-coprime set whose
-    elements generate the same multiplicative span."""
-    work = sorted(set(v for v in items if v > 1))
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(work)):
-            for j in range(i + 1, len(work)):
-                g = gcd(work[i], work[j])
-                if g > 1:
-                    a, b = work[i], work[j]
-                    rest = [w for k, w in enumerate(work) if k not in (i, j)]
-                    rest.extend(x for x in (a // g, g, b // g) if x > 1)
-                    work = sorted(set(rest))
-                    changed = True
-                    break
-            if changed:
-                break
-    return work
-
-
 def gcd_free_basis(alphas) -> GcdFreeBasis:
     """Factor-refinement gcd-free basis of a list of integers >= 1."""
     alphas = [int(a) for a in alphas]
     if any(a < 1 for a in alphas):
         raise PreconditionError("gcd_free_basis requires integers >= 1")
-    basis = _refine_pairwise_coprime(alphas)
-    while True:
-        matrix = []
-        leftovers = []
-        for a in alphas:
-            row = []
-            rem = a
-            for g in basis:
-                e = 0
-                while rem % g == 0:
-                    rem //= g
-                    e += 1
-                row.append(e)
-            if rem > 1:
-                leftovers.append(rem)
-            matrix.append(tuple(row))
-        if not leftovers:
-            return GcdFreeBasis(tuple(basis), tuple(matrix))
-        basis = _refine_pairwise_coprime(basis + leftovers)
+    basis = sorted(set(alphas) - {1})
+    # a pair with g = gcd(a, b) > 1 becomes a/g, g, b/g, whose products give
+    # back a and b: every input stays a product of basis elements, so
+    # dividing it out below always leaves 1
+    while pair := next((p for p in combinations(basis, 2) if gcd(*p) > 1), None):
+        a, b = pair
+        g = gcd(a, b)
+        basis = sorted(set(basis) - {a, b} | {a // g, g, b // g} - {1})
+    matrix = []
+    for a in alphas:
+        row = []
+        for g in basis:
+            e = 0
+            while a % g == 0:
+                a //= g
+                e += 1
+            row.append(e)
+        matrix.append(tuple(row))
+    return GcdFreeBasis(tuple(basis), tuple(matrix))
 
 
 def _check_product_lists(alphas, betas, us, vs):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import PreconditionError
+from .errors import PreconditionError, ScaleLimitError
 from .sparsepoly import SparsePolynomial, make_polynomial
 
 
@@ -137,6 +137,12 @@ def sat3_to_system(phi: Sat3Formula) -> PolySystem:
     return PolySystem(tuple(polys))
 
 
+# the output is dense in all original and fresh variables; this is the
+# entry count the reduce sat3 guard allows (one 300-term univariate
+# polynomial gives 1,338,624 entries, 400 terms 2,384,824)
+_SHOR_MAX_ENTRIES = 2 * 10**6
+
+
 def shor_normal_form(F: PolySystem) -> PolySystem:
     """Rewrite a system so every polynomial has <= 3 terms and degree <= 2.
 
@@ -144,7 +150,8 @@ def shor_normal_form(F: PolySystem) -> PolySystem:
     splitting, one defining binomial each) and for partial sums of long
     linear polynomials (one linear trinomial each).  Roots of the input
     extend uniquely to roots of the output, and output roots project to
-    input roots.
+    input roots.  Raises ScaleLimitError when the dense output would hold
+    more than 2 * 10^6 exponent entries.
     """
     for p in F.polynomials:
         if p.is_laurent:
@@ -191,7 +198,13 @@ def shor_normal_form(F: PolySystem) -> PolySystem:
             rewritten.append({w2: 1, w: -1, m: -c})
             w = w2
         rewritten.append({w: 1, ml: cl})
-    return PolySystem(tuple(_poly(d, total) for d in rewritten + equations))
+    output = rewritten + equations
+    entries = total * sum(len(d) for d in output)
+    if entries > _SHOR_MAX_ENTRIES:
+        raise ScaleLimitError(
+            f"{entries} exponent entries exceed the reduce shor guard of {_SHOR_MAX_ENTRIES}"
+        )
+    return PolySystem(tuple(_poly(d, total) for d in output))
 
 
 def sos_aggregate(F: PolySystem) -> SparsePolynomial:

@@ -6,15 +6,17 @@ arbitrary-precision integer coefficient.  The canonical term order is
 lexicographic on exponent vectors, which makes printing deterministic and
 ``parse(print(f)) == f`` hold for canonical polynomials.
 
-Text grammar (whitespace insignificant)::
+Text grammar (whitespace allowed between tokens, not inside them)::
 
     poly   := ['+'|'-'] term (('+'|'-') term)*
-    term   := integer | [integer] ['*'] factor ('*' factor)*
-    factor := var ['^' integer]
-    var    := 'x' index          (index in 1..n)
+    term   := integer | [integer] ['*'] factor (['*'] factor)*
+    factor := var ['^' ['-'] integer]
+    var    := 'x' index          (index in 1..10000)
 
-The number of variables of a parsed polynomial is the largest variable
-index occurring in the text (at least 1).  The JSON form is
+so factors may also be juxtaposed, as in ``2x1`` or ``2 x1 x2^-1``.  The
+number of variables of a parsed polynomial is the largest variable index
+occurring in the text (at least 1); an index above 10,000 is refused
+before any exponent vector is built.  The JSON form is
 ``{"n": int, "terms": [{"c": "<decimal>", "a": [int, ...]}]}``; a
 coefficient may also be a JSON integer, and bools are not integers.
 
@@ -107,33 +109,11 @@ def make_polynomial(n: int, terms: Iterable[tuple[Sequence[int], int]]) -> Spars
     return SparsePolynomial(n, tuple(merged))
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|(x)(\d+)|(\^)|(\*)|(\+)|(-))")
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}", pos)
-        if m.group(1):
-            tokens.append(("int", int(m.group(1)), m.start(1)))
-        elif m.group(2):
-            tokens.append(("var", int(m.group(3)), m.start(2)))
-        elif m.group(4):
-            tokens.append(("pow", None, m.start(4)))
-        elif m.group(5):
-            tokens.append(("mul", None, m.start(5)))
-        elif m.group(6):
-            tokens.append(("plus", None, m.start(6)))
-        else:
-            tokens.append(("minus", None, m.start(7)))
-        pos = m.end()
-    return tokens
+# a polynomial is dense in its largest index: x10000 + 1 parses in 6 ms and
+# classify_positive takes 83 ms more, and both grow linearly with the index
+# (x1000000: 0.54 s, then 8.7 s at 261 MB peak), on 2 vCPUs, Python 3.11
+_MAX_INDEX = 10_000
+_TOKEN = re.compile(r"\s*((\d+)|x(\d+)|[-+*^]|\S)")
 
 
 def parse(text: str) -> SparsePolynomial:
@@ -142,85 +122,65 @@ def parse(text: str) -> SparsePolynomial:
     Raises ParseError with a position on malformed input, and
     ZeroPolynomialError when all terms cancel.
     """
-    tokens = _tokenize(text)
+    tokens = []  # (kind, value, position); a symbol is its own kind
+    for m in _TOKEN.finditer(text):
+        tok, digits, index = m.groups()
+        if digits or index:
+            tokens.append(("int" if digits else "var", int(digits or index), m.start(1)))
+        elif tok in "+-*^":
+            tokens.append((tok, None, m.start(1)))
+        else:
+            raise ParseError(f"unexpected character {tok!r}", m.start(1))
     if not tokens:
         raise ParseError("empty input", 0)
-    idx = 0
+    tokens.append(("end", None, len(text)))
+    at = 0
 
-    def peek():
-        return tokens[idx] if idx < len(tokens) else ("end", None, len(text))
+    def take(*kinds):
+        """Consume and return the next token if it has one of these kinds."""
+        nonlocal at
+        if tokens[at][0] not in kinds:
+            return None
+        at += 1
+        return tokens[at - 1]
+
+    def need(ok, message):
+        if not ok:
+            raise ParseError(message, tokens[at][2])
 
     raw_terms: list[tuple[dict[int, int], int]] = []  # ({var: exp}, coeff)
-    sign = 1
-    kind, _, pos = peek()
-    if kind in ("plus", "minus"):
-        sign = 1 if kind == "plus" else -1
-        idx += 1
+    sign = take("+", "-")
     while True:
-        # one term
-        coeff = sign
+        coeff = -1 if sign and sign[0] == "-" else 1
         exps: dict[int, int] = {}
-        kind, val, pos = peek()
-        saw_factor = False
-        if kind == "int":
-            coeff *= val
-            idx += 1
-            saw_factor = True
-            kind, val, pos = peek()
-            if kind == "mul":
-                idx += 1
-                kind, val, pos = peek()
-                if kind != "var":
-                    raise ParseError("expected variable after '*'", pos)
-        while True:
-            kind, val, pos = peek()
-            if kind != "var":
+        num = take("int")
+        if num:
+            coeff *= num[1]
+        need(num or tokens[at][0] == "var", "expected term")
+        while True:  # factors, joined by '*' or juxtaposed
+            if take("*"):
+                need(tokens[at][0] == "var", "expected variable after '*'")
+            elif tokens[at][0] != "var":
                 break
-            idx += 1
-            var = val
-            if var < 1:
-                raise ParseError("variable index must be >= 1", pos)
+            var = tokens[at][1]
+            need(var >= 1, "variable index must be >= 1")
+            need(var <= _MAX_INDEX, f"variable index must be <= {_MAX_INDEX}")
+            take("var")
             exp = 1
-            kind2, _, pos2 = peek()
-            if kind2 == "pow":
-                idx += 1
-                esign = 1
-                kind3, val3, pos3 = peek()
-                if kind3 == "minus":
-                    esign = -1
-                    idx += 1
-                    kind3, val3, pos3 = peek()
-                if kind3 != "int":
-                    raise ParseError("expected integer exponent after '^'", pos3)
-                exp = esign * val3
-                idx += 1
+            if take("^"):
+                exp = -1 if take("-") else 1
+                need(tokens[at][0] == "int", "expected integer exponent after '^'")
+                exp *= take("int")[1]
             exps[var] = exps.get(var, 0) + exp
-            saw_factor = True
-            kind4, _, _ = peek()
-            if kind4 == "mul":
-                idx += 1
-                kind5, _, pos5 = peek()
-                if kind5 != "var":
-                    raise ParseError("expected variable after '*'", pos5)
-        if not saw_factor:
-            raise ParseError("expected term", pos)
         raw_terms.append((exps, coeff))
-        kind, _, pos = peek()
-        if kind == "end":
+        if take("end"):
             break
-        if kind not in ("plus", "minus"):
-            raise ParseError("expected '+' or '-' between terms", pos)
-        sign = 1 if kind == "plus" else -1
-        idx += 1
-        kind, _, pos = peek()
-        if kind == "end":
-            raise ParseError("dangling sign", pos)
+        sign = take("+", "-")
+        need(sign, "expected '+' or '-' between terms")
+        need(tokens[at][0] != "end", "dangling sign")
 
     n = max((v for exps, _ in raw_terms for v in exps), default=1)
-    pairs = []
-    for exps, c in raw_terms:
-        vec = tuple(exps.get(i, 0) for i in range(1, n + 1))
-        pairs.append((vec, c))
+    pairs = [(tuple(exps.get(i, 0) for i in range(1, n + 1)), c) for exps, c in raw_terms]
     return make_polynomial(n, pairs)
 
 

@@ -236,6 +236,30 @@ def test_reduce_shor(tmp_path, capsys):
             assert sum(abs(e) for e in t["a"]) <= 2
 
 
+def test_reduce_shor_size_guard(tmp_path, capsys, monkeypatch):
+    # 400 terms: 997 variables x 2,392 output terms = 2,384,824 entries;
+    # refused after the sparse rewrite, before any dense polynomial
+    monkeypatch.setattr(
+        "sparsefeas.reductions._poly", lambda d, n: pytest.fail("polynomial built")
+    )
+    src = tmp_path / "system.json"
+    src.write_text(json.dumps({"polynomials": [
+        {"n": 1, "terms": [{"c": "1", "a": [2 * i]} for i in range(400)]}
+    ]}))
+    code = run(["reduce", "shor", "--file", str(src)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "reduce shor guard" in captured.err
+
+
+def test_variable_index_guard_is_one_error_line(capsys):
+    code = run(["feas", "--set", "positive", "--expr", "x100000000 + 1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: variable index must be <= 10000 (at position 0)\n"
+
+
 def test_reduce_sos(tmp_path, capsys):
     src = tmp_path / "system.json"
     src.write_text(json.dumps({

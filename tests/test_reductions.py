@@ -194,6 +194,15 @@ def test_shor_exact_output(expr, n, texts):
     assert [to_text(f) for f in out.polynomials] == texts
 
 
+def test_shor_below_size_guard():
+    # 300 terms: 747 variables and 747 polynomials, 1,338,624 dense
+    # exponent entries, under the guard of 2 * 10^6
+    f = make_polynomial(1, [((2 * i,), 1) for i in range(300)])
+    out = shor_normal_form(PolySystem((f,)))
+    assert out.n == len(out.polynomials) == 747
+    assert out.n * sum(len(g.terms) for g in out.polynomials) == 1_338_624
+
+
 def test_sat3_exact_output():
     out = sat3_to_system(Sat3Formula(3, ((-3, 1, 1),)))
     assert out.n == 3
