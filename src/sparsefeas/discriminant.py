@@ -10,20 +10,22 @@ collapses to a difference of two monomial products:
 so both the vanish test and the sign reduce to exactsign primitives,
 which expand the products only when both are small (at most 2^12 bits).
 When Delta vanishes, the unique degenerate point per orthant is cut out
-by the binomial system zeta^(a_i - a_1) = (m_i c_1)/(m_1 c_i), solved
-through a Smith factorization of the exponent-difference matrix.
+by the binomial system zeta^(a_j - a_0) = (m_j c_0)/(m_0 c_j), which is
+linear in log zeta over the rows (1 | a_j) that geometry.analyze_support
+factors; the solution is read off that one analysis, with its powers
+taken as exponents on a gcd-free basis of the right-hand sides.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, prod
 from typing import Optional
 
 from .errors import NoRealSolutionError, PreconditionError
-from .exactsign import binomial_sign, binomial_vanish
-from .geometry import CircuitData, interior_point
-from .intlattice import smith_factor
+from .exactsign import binomial_sign, binomial_vanish, gcd_free_basis
+from .geometry import CircuitData, SupportAnalysis, analyze_support, interior_point
 
 
 @dataclass(frozen=True)
@@ -113,8 +115,9 @@ def adisc_sign(D: CircuitDiscriminant) -> int:
 class DegeneratePoint:
     """The degenerate point of a vanished discriminant, positive orthant.
 
-    Coordinates are zeta_j = prod_k rhos[k] ** (mixing[j][k] / orders[k]);
-    when every order is 1 the exact rational tuple is in ``coordinates``.
+    Coordinates are zeta_k = prod_b rhos[b] ** (mixing[k][b] / orders[b]),
+    the rhos pairwise coprime integers > 1; when every order is 1 the
+    exact rational tuple is in ``coordinates``.
     """
 
     rhos: tuple[Fraction, ...]
@@ -123,51 +126,39 @@ class DegeneratePoint:
     coordinates: Optional[tuple[Fraction, ...]]
 
 
-def degenerate_point(D: CircuitDiscriminant) -> DegeneratePoint:
+def degenerate_point(D: CircuitDiscriminant, an: SupportAnalysis | None = None) -> DegeneratePoint:
     """Solve for the singular point in the positive orthant.
 
-    Requires adisc_vanish(D).  The binomial system zeta^(a_i - a_1) = r_i
-    with r_i = (m_i c_1)/(m_1 c_i) is reduced by a Smith factorization
-    U E V = S of the exponent differences: with rho = r^U (row-wise), a
-    positive solution exists iff every rho_k > 0, and then each
-    y_k = rho_k^(1/s_k) gives zeta = y^V.
+    Requires adisc_vanish(D).  ``an`` is the analysis of the circuit's
+    points in their order (built here when the caller has none).  With
+    r_j = (m_j c_0)/(m_0 c_j), a negative r_j leaves no point in the
+    orthant; otherwise zeta^(a_j - a_0) = r_j is the linear system
+    (1 | a_j) (t, log zeta) = log r_j, which ``an`` has factored: with S
+    the rows 1..n of its solution and P its pivot product, zeta_k^P =
+    prod_j r_j^(S_kj), free coordinates 1.  S may carry a large multiple
+    of m, so the powers are taken as exponents on a gcd-free basis of the
+    r_j, where that multiple cancels exactly: prod_j r_j^(m_j) = 1, and
+    coprime integers are multiplicatively independent.
     """
     if not adisc_vanish(D):
         raise PreconditionError("discriminant does not vanish at these coefficients")
-    pts = list(D.circuit.points)
-    m = _normalized_relation(D.circuit)
-    c = D.coefficients
-    n = len(pts[0])
-    base = pts[0]
-    E = [[p[k] - base[k] for k in range(n)] for p in pts[1:]]
-    r = [Fraction(m[i] * c[0], m[0] * c[i]) for i in range(1, len(pts))]
-    S, U, V = smith_factor(E)
-    # only the rank rows constrain zeta: the one row of U past the rank is
-    # +-(m_2, ..., m_k), whose rho (prod_j (m_j/c_j)^(m_j))^(+-1) is 1
-    # exactly when the discriminant vanishes, as required above
-    rhos, orders = [], []
-    for i in range(min(len(S), n)):
-        if not S[i][i]:
-            continue
-        rho = Fraction(1)
-        for j, rj in enumerate(r):
-            e = U[i][j]
-            if e:
-                rho *= rj ** e
-        if rho <= 0:
-            raise NoRealSolutionError("no degenerate point in the positive orthant")
-        rhos.append(rho)
-        orders.append(S[i][i])
-    mixing = tuple(tuple(V[j][k] for k in range(len(orders))) for j in range(n))
+    an = an or analyze_support(D.circuit.points)
+    m, c = D.circuit.relation, D.coefficients
+    r = [Fraction(mj * c[0], m[0] * cj) for mj, cj in zip(m, c)]
+    if min(r) < 0:
+        raise NoRealSolutionError("no degenerate point in the positive orthant")
+    basis = gcd_free_basis([x.numerator for x in r] + [x.denominator for x in r])
+    nums, dens = basis.exponent_matrix[:len(r)], basis.exponent_matrix[len(r):]
+    e = [[p - q for p, q in zip(num, den)] for num, den in zip(nums, dens)]
+    P = sum(an.solution[0])  # the pivot product: row 0 sums to it
+    E = [[sum(s * ej[b] for s, ej in zip(row, e)) for b in range(len(basis.gammas))]
+         for row in an.solution[1:]]
+    cols = [b for b in range(len(basis.gammas)) if any(row[b] for row in E)]
+    gs = [gcd(P, *(row[b] for row in E)) for b in cols]
+    rhos = tuple(Fraction(basis.gammas[b]) for b in cols)
+    orders = tuple(P // g for g in gs)
+    mixing = tuple(tuple(row[b] // g for b, g in zip(cols, gs)) for row in E)
     coords = None
-    if all(s == 1 for s in orders):
-        vals = []
-        for j in range(n):
-            z = Fraction(1)
-            for k, rho in enumerate(rhos):
-                e = V[j][k]
-                if e:
-                    z *= rho ** e
-            vals.append(z)
-        coords = tuple(vals)
-    return DegeneratePoint(tuple(rhos), tuple(orders), mixing, coords)
+    if all(o == 1 for o in orders):
+        coords = tuple(prod(map(pow, rhos, row), start=Fraction(1)) for row in mixing)
+    return DegeneratePoint(rhos, orders, mixing, coords)

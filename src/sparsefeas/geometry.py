@@ -88,10 +88,11 @@ class SupportAnalysis:
     @cached_property
     def circuit(self):
         """find_circuit's answer for the points."""
-        # the kernel has dimension #A - dim - 1, so a second relation means
-        # more than dim + 2 points
+        # the kernel has dimension #A - dim - 1, one more than the excess
         if len(self.kernel) > 1:
-            raise PreconditionError("point set has more than dim + 2 points")
+            raise PreconditionError(
+                f"point set has {len(self.points)} points in dimension {self.rank - 1}:"
+                f" {len(self.kernel) - 1} more than dim + 2")
         if not self.kernel:
             return None
         m = primitive_vector(self.kernel[0])

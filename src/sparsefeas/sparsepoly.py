@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -122,10 +123,15 @@ def parse(text: str) -> SparsePolynomial:
     Raises ParseError with a position on malformed input, and
     ZeroPolynomialError when all terms cancel.
     """
+    # int() raises a bare ValueError past Python's digit limit (0: none)
+    limit = getattr(sys, "get_int_max_str_digits", int)()
     tokens = []  # (kind, value, position); a symbol is its own kind
     for m in _TOKEN.finditer(text):
         tok, digits, index = m.groups()
         if digits or index:
+            if 0 < limit < len(digits or index):
+                at = m.start(2 if digits else 3)
+                raise ParseError(f"digit run longer than {limit} digits", at)
             tokens.append(("int" if digits else "var", int(digits or index), m.start(1)))
         elif tok in "+-*^":
             tokens.append((tok, None, m.start(1)))

@@ -46,6 +46,16 @@ def test_feas_positive_singular(capsys):
     assert payload["witness"] == "1"
 
 
+def test_feas_positive_rational_singular_point_is_coordinates(capsys):
+    # the singular point (1, 1) is rational, so it prints as coordinates
+    code, payload = _run(
+        capsys, "feas", "--set", "positive", "--expr", "1 + x1^3 + x2^3 - 3*x1*x2"
+    )
+    assert code == 0
+    assert payload["classification"] == "SINGULAR_POINT"
+    assert payload["witness"] == ["1", "1"]
+
+
 def test_feas_positive_irrational_witness(capsys):
     # (x1^2 - 2)^2: the singular point sqrt(2) is reported as rho^(1/s)
     code, payload = _run(
@@ -258,6 +268,21 @@ def test_variable_index_guard_is_one_error_line(capsys):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err == "error: variable index must be <= 10000 (at position 0)\n"
+
+
+def test_long_digit_run_is_one_error_line(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+    code = run(["parse", "--expr", "x" + "1" * 5000])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: digit run longer than 4300 digits (at position 1)\n"
+
+
+def test_too_many_points_names_count_dimension_and_excess(capsys):
+    code = run(["feas", "--set", "positive", "--expr", "1 + x1 + x1^2 + x1^3"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: point set has 4 points in dimension 1: 1 more than dim + 2\n"
 
 
 def test_reduce_sos(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Tests for the circuit discriminant and degenerate-point extraction."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,8 @@ from sparsefeas.discriminant import (
     degenerate_point,
 )
 from sparsefeas.errors import NoRealSolutionError, PreconditionError
-from sparsefeas.geometry import find_circuit
+from sparsefeas.geometry import analyze_support, find_circuit
+from sparsefeas.intlattice import smith_factor
 from sparsefeas.oracle import multiple_root_count
 from sparsefeas.sparsepoly import evaluate, make_polynomial, parse, support
 
@@ -24,8 +27,6 @@ def _disc(f):
 
 
 def test_quadratic_sign_is_b2_minus_4ac():
-    import random
-
     rng = random.Random(3)
     for _ in range(300):
         a = rng.choice([v for v in range(-9, 10) if v])
@@ -98,8 +99,6 @@ def test_rejects_zero_coefficient():
 
 
 def test_vanish_iff_positive_double_root_random():
-    import random
-
     rng = random.Random(41)
     seen_vanish = 0
     for _ in range(300):
@@ -126,3 +125,92 @@ def test_vanish_iff_positive_double_root_random():
                 assert z > 0
                 assert evaluate(f, [z]) == 0
     assert seen_vanish > 50
+
+
+def _degenerate_point_reference(D):
+    """The degenerate point by its own Smith factorization U E V = S of the
+    exponent differences E: with rho = r^U (row-wise), a positive solution
+    exists iff every rho_k > 0, and then each y_k = rho_k^(1/s_k) gives
+    zeta = y^V."""
+    pts = list(D.circuit.points)
+    m, c = D.circuit.relation, D.coefficients
+    n = len(pts[0])
+    E = [[p[k] - pts[0][k] for k in range(n)] for p in pts[1:]]
+    r = [Fraction(m[i] * c[0], m[0] * c[i]) for i in range(1, len(pts))]
+    S, U, V = smith_factor(E)
+    rhos, orders = [], []
+    for i in range(min(len(S), n)):
+        if not S[i][i]:
+            continue
+        rho = math.prod((rj ** e for rj, e in zip(r, U[i]) if e), start=Fraction(1))
+        if rho <= 0:
+            raise NoRealSolutionError("no degenerate point in the positive orthant")
+        rhos.append(rho)
+        orders.append(S[i][i])
+    return rhos, orders, [row[:len(orders)] for row in V]
+
+
+def _power(rhos, orders, mixing, L):
+    """zeta^L for zeta_k = prod_b rhos[b] ** (mixing[k][b] / orders[b])."""
+    return tuple(
+        math.prod((rho ** (e * L // s) for rho, s, e in zip(rhos, orders, row)), start=Fraction(1))
+        for row in mixing
+    )
+
+
+def _vanishing_circuit(rng):
+    """A full-dimensional circuit in n <= 3 variables with exponents <= 6 and
+    coefficients m_j 2^(u_j) 3^(v_j), with u and v orthogonal to the
+    relation m, so the discriminant vanishes; the singular point is
+    irrational when u, v leave the lattice spanned by the (1 | a_j).  One
+    in four has a coefficient of an even m_j negated, leaving no positive
+    singular point."""
+    while True:
+        n = rng.randint(1, 3)
+        pts = [tuple(rng.randint(0, 6) for _ in range(n)) for _ in range(n + 2)]
+        if len(set(pts)) < n + 2:
+            continue
+        an = analyze_support(pts)
+        if an.rank == n + 1 and len(an.circuit[1]) == n + 2:
+            break
+    m = an.circuit[0].relation
+    logs = []
+    for _ in range(2):
+        u = [0] * len(pts)
+        for _ in range(2):
+            p, q = rng.sample(range(len(pts)), 2)
+            k = rng.choice((-1, 1))
+            u[p] += k * m[q]
+            u[q] -= k * m[p]
+        logs.append([v - min(u) for v in u])
+    c = [mj * 2 ** u * 3 ** v for mj, u, v in zip(m, *logs)]
+    even = [j for j, mj in enumerate(m) if mj % 2 == 0]
+    if even and rng.random() < 0.25:
+        c[rng.choice(even)] *= -1
+    return CircuitDiscriminant(an.circuit[0], tuple(c))
+
+
+def test_degenerate_point_matches_smith_reference():
+    # the positive singular point of a full-dimensional circuit is unique,
+    # so both descriptions agree on zeta^L, L the lcm of all their orders
+    rng = random.Random(17)
+    seen = {"rational": 0, "irrational": 0, "none": 0}
+    for _ in range(600):
+        D = _vanishing_circuit(rng)
+        assert adisc_vanish(D)
+        try:
+            rhos, orders, mixing = _degenerate_point_reference(D)
+        except NoRealSolutionError:
+            with pytest.raises(NoRealSolutionError):
+                degenerate_point(D)
+            seen["none"] += 1
+            continue
+        p = degenerate_point(D)
+        assert all(rho.denominator == 1 and rho > 1 for rho in p.rhos)
+        assert all(math.gcd(int(a), int(b)) == 1 for i, a in enumerate(p.rhos) for b in p.rhos[:i])
+        L = math.lcm(*orders, *p.orders)
+        assert _power(p.rhos, p.orders, p.mixing, L) == _power(rhos, orders, mixing, L)
+        if p.coordinates is not None:
+            assert p.coordinates == _power(p.rhos, p.orders, p.mixing, 1)
+        seen["irrational" if p.coordinates is None else "rational"] += 1
+    assert min(seen.values()) > 50, seen

@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -218,12 +219,31 @@ def test_circuit_lattice_call_budget(monkeypatch):
     (classify_positive, "x1^2*x2^2 - 3*x1*x2 + 1"),  # circuit of dimension 1 in R^2
     (classify_positive, "2 + 2*x2^2*x3^4 - x2^3*x3^4 - x2^4*x3^6"),  # dimension 2 in R^3
     (classify_positive, "1 - 3*x1 + x1^2 + x2"),  # pyramid over a circuit
+    (classify_positive, "1 + x1^3 + x2^3 - 3*x1*x2"),  # singular point
 ])
 def test_one_hermite_factorization_per_support(monkeypatch, call, text):
     f = parse(text)
     calls = _count_hermite_calls(monkeypatch)
     call(f)
     assert len(calls) == 1
+
+
+def test_degenerate_point_has_small_exact_coordinates():
+    # the singular point (1, 2, 2, 2) is rational, but a solution column
+    # of this support carries a multiple of the relation with entries near
+    # 10^6 against a pivot product of 279: powers taken directly, or by a
+    # second factorization, run to millions of bits
+    f = parse(
+        "x1^6*x2^19*x3^13*x4^3 + 8192*x1^10*x2^8*x3^4*x4^10"
+        " + 131072*x1^13*x2^6*x3^7*x4^5 - 458752*x1^13*x2^8*x3^4*x4^7"
+        " + 33554432*x1^14*x2^5*x3*x4^4 + 1572864*x1^16*x2^6*x3*x4^9"
+    )
+    start = time.monotonic()
+    rep = feas_circuit(f)
+    assert time.monotonic() - start < 1
+    assert rep.classification == SINGULAR_POINT
+    assert rep.certificate.coordinates == (1, 2, 2, 2)
+    assert _singular_point_vanishes(f, rep.certificate)
 
 
 def test_real_dispatch_one_factorization_over_closed_subsets(monkeypatch):

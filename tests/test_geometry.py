@@ -469,5 +469,13 @@ def test_only_analyze_support_factors():
         "geometry.import in module",
         "__init__.import in module",
     }
+    # no decider takes a Smith form: the package only re-exports it
+    callers = {
+        f"{path.stem}.{scope}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "intlattice"
+        for scope in _callers(path, "smith_factor")
+    }
+    assert callers == {"__init__.import in module"}
     # the helper sees calls inside intlattice
     assert {"hermite_factor", "smith_factor"} <= _callers(SRC / "intlattice.py", "_egcd")

@@ -182,4 +182,5 @@ def test_checker_and_deciders_share_no_code():
     assert _package_imports("oracle") & deciders == set()
     # the helper does see the imports it is meant to catch
     assert {"errors", "sparsepoly"} <= _package_imports("oracle")
-    assert {"exactsign", "geometry", "intlattice"} <= _package_imports("discriminant")
+    assert "intlattice" in _package_imports("geometry")
+    assert {"exactsign", "geometry"} <= _package_imports("discriminant")

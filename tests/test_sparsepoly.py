@@ -2,6 +2,7 @@
 
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -145,6 +146,24 @@ def test_variable_index_guard(monkeypatch):
         assert str(info.value) == (
             f"variable index must be <= {_MAX_INDEX} (at position {position})"
         )
+
+
+def test_digit_run_guard():
+    # int() refuses a run past Python's digit limit with a bare ValueError;
+    # parse refuses it first, at the run, for every kind of integer
+    old = sys.get_int_max_str_digits()
+    run = "1" * 4301
+    try:
+        sys.set_int_max_str_digits(4300)
+        for text, position in [(f"2 + {run}*x1", 4), (f"x1^-{run} + 1", 4), (f"x{run} + 1", 1)]:
+            with pytest.raises(ParseError) as info:
+                parse(text)
+            assert str(info.value) == f"digit run longer than 4300 digits (at position {position})"
+        assert parse(run[1:] + "*x1").terms[0].coefficient == int(run[1:])
+        sys.set_int_max_str_digits(0)
+        assert parse(run + "*x1").terms[0].coefficient == int(run)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 _REFERENCE_TOKEN = re.compile(r"\s*(?:(\d+)|(x)(\d+)|(\^)|(\*)|(\+)|(-))")
