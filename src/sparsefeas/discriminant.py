@@ -129,20 +129,24 @@ class DegeneratePoint:
 def degenerate_point(D: CircuitDiscriminant, an: SupportAnalysis | None = None) -> DegeneratePoint:
     """Solve for the singular point in the positive orthant.
 
-    Requires adisc_vanish(D).  ``an`` is the analysis of the circuit's
-    points in their order (built here when the caller has none).  With
-    r_j = (m_j c_0)/(m_0 c_j), a negative r_j leaves no point in the
-    orthant; otherwise zeta^(a_j - a_0) = r_j is the linear system
-    (1 | a_j) (t, log zeta) = log r_j, which ``an`` has factored: with S
-    the rows 1..n of its solution and P its pivot product, zeta_k^P =
-    prod_j r_j^(S_kj), free coordinates 1.  S may carry a large multiple
-    of m, so the powers are taken as exponents on a gcd-free basis of the
-    r_j, where that multiple cancels exactly: prod_j r_j^(m_j) = 1, and
+    Raises PreconditionError unless adisc_vanish(D).  ``an`` is the
+    analysis of the circuit's points in their order (built here when the
+    caller has none).  With r_j = (m_j c_0)/(m_0 c_j), a negative r_j
+    leaves no point in the orthant; otherwise zeta^(a_j - a_0) = r_j is
+    the linear system (1 | a_j) (t, log zeta) = log r_j, which ``an`` has
+    eliminated: with S the rows 1..n of its solution and P its scale D,
+    zeta_k^P = prod_j r_j^(S_kj), free coordinates 1.  S is fixed only up
+    to multiples of m, so the powers are taken as exponents on a gcd-free
+    basis of the r_j, where m cancels exactly: prod_j r_j^(m_j) = 1, and
     coprime integers are multiplicatively independent.
     """
     if not adisc_vanish(D):
         raise PreconditionError("discriminant does not vanish at these coefficients")
-    an = an or analyze_support(D.circuit.points)
+    return _degenerate_point(D, an or analyze_support(D.circuit.points))
+
+
+def _degenerate_point(D: CircuitDiscriminant, an: SupportAnalysis) -> DegeneratePoint:
+    """degenerate_point for a discriminant already known to vanish."""
     m, c = D.circuit.relation, D.coefficients
     r = [Fraction(mj * c[0], m[0] * cj) for mj, cj in zip(m, c)]
     if min(r) < 0:
@@ -150,7 +154,7 @@ def degenerate_point(D: CircuitDiscriminant, an: SupportAnalysis | None = None) 
     basis = gcd_free_basis([x.numerator for x in r] + [x.denominator for x in r])
     nums, dens = basis.exponent_matrix[:len(r)], basis.exponent_matrix[len(r):]
     e = [[p - q for p, q in zip(num, den)] for num, den in zip(nums, dens)]
-    P = sum(an.solution[0])  # the pivot product: row 0 sums to it
+    P = sum(an.solution[0])  # the scale D of the solution: row 0 sums to it
     E = [[sum(s * ej[b] for s, ej in zip(row, e)) for b in range(len(basis.gammas))]
          for row in an.solution[1:]]
     cols = [b for b in range(len(basis.gammas)) if any(row[b] for row in E)]

@@ -65,27 +65,44 @@ class GcdFreeBasis:
     exponent_matrix: tuple[tuple[int, ...], ...]
 
 
+def _split_powers(a: int, g: int):
+    """(k, a / g^k) for the largest k with g^k | a, g > 1: g, g^2, g^4, ...
+    while they divide a, then the binary digits of k from the top, so
+    O(log k) divisions rather than k."""
+    powers = []
+    while a % g == 0:
+        powers.append(g)
+        g *= g
+    k = 0
+    for i in reversed(range(len(powers))):
+        if a % powers[i] == 0:
+            a //= powers[i]
+            k += 1 << i
+    return k, a
+
+
 def gcd_free_basis(alphas) -> GcdFreeBasis:
-    """Factor-refinement gcd-free basis of a list of integers >= 1."""
+    """Factor-refinement gcd-free basis of a list of integers >= 1: the
+    coarsest pairwise coprime set over which every input factors, as in
+    Bach, Driscoll and Shallit (J. Algorithms 1993)."""
     alphas = [int(a) for a in alphas]
     if any(a < 1 for a in alphas):
         raise PreconditionError("gcd_free_basis requires integers >= 1")
-    basis = sorted(set(alphas) - {1})
-    # a pair with g = gcd(a, b) > 1 becomes a/g, g, b/g, whose products give
-    # back a and b: every input stays a product of basis elements, so
-    # dividing it out below always leaves 1
+    basis = set(alphas) - {1}
+    # a pair with g = gcd(a, b) > 1 becomes g and a, b with every power of
+    # g split out, whose products give back a and b: every input stays a
+    # product of basis elements, so dividing it out below always leaves 1.
+    # Each prime's exponents over the set change by an invertible linear
+    # map that fixes their gcd, so the coarsest basis is unchanged
     while pair := next((p for p in combinations(basis, 2) if gcd(*p) > 1), None):
-        a, b = pair
-        g = gcd(a, b)
-        basis = sorted(set(basis) - {a, b} | {a // g, g, b // g} - {1})
+        g = gcd(*pair)
+        basis = basis - set(pair) | {g, *(_split_powers(a, g)[1] for a in pair)} - {1}
+    basis = sorted(basis)
     matrix = []
     for a in alphas:
         row = []
         for g in basis:
-            e = 0
-            while a % g == 0:
-                a //= g
-                e += 1
+            e, a = _split_powers(a, g)
             row.append(e)
         matrix.append(tuple(row))
     return GcdFreeBasis(tuple(basis), tuple(matrix))

@@ -15,10 +15,11 @@ or has only non-compact components.
 
 A circuit support of d + 2 points is decided by one rule over its single
 affine relation m, the coefficient signs on the Gale-dual facets and one
-discriminant sign, all read off one Hermite factorization of the support
-(geometry.analyze_support).  None of these depends on n: when d < n,
-Z_+(f) is the zero set in the support's span times R_+^(n - d), so a
-nonempty class is ALL_NONCOMPACT and its certificate is computed in R^n.
+discriminant sign, all read off one echelon elimination with primitive
+rows of the support (geometry.analyze_support).  None of these depends
+on n: when d < n, Z_+(f) is the zero set in the support's span times
+R_+^(n - d), so a nonempty class is ALL_NONCOMPACT and its certificate
+is computed in R^n.
 
 feas_simplex's sign and parity rule decides all three sets of a simplex.
 For a circuit, Z* and Z_R reduce to positive-orthant questions on the
@@ -37,8 +38,8 @@ from typing import Optional
 from .errors import PreconditionError
 from .discriminant import (
     CircuitDiscriminant,
+    _degenerate_point,
     adisc_sign,
-    degenerate_point,
 )
 from .geometry import (
     CircuitData,
@@ -229,7 +230,7 @@ def feas_circuit(f: SparsePolynomial, an: SupportAnalysis | None = None) -> Feas
         normals = [primitive_vector([m[p] * x[q] - m[q] * x[p] for x in X])[1:] for p, q in why]
         cert = {"facet_normal": list(min(normals))}
     elif cls == SINGULAR_POINT:
-        cert = degenerate_point(why, an)
+        cert = _degenerate_point(why, an)  # adisc_sign found it zero
     if cls != EMPTY and an.rank <= f.n:
         cls = ALL_NONCOMPACT
     verdict = "empty" if cls == EMPTY else "nonempty"

@@ -1,5 +1,6 @@
 """Combinatorics of supports: affine dimension, circuits, Radon interior
-points, and the Gale-dual facets of a circuit.
+points, and the Gale-dual facets of a circuit, all from one echelon
+elimination with primitive rows of the rows (1 | a_j) per support.
 
 A *circuit* is an affinely dependent point set every proper subset of
 which is affinely independent.  Such a set carries a unique (up to sign)
@@ -11,10 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import prod
 
 from .errors import NotACircuitError, PreconditionError
-from .intlattice import hermite_factor, primitive_vector
+from .intlattice import echelon_rows, echelon_solution
 from .sparsepoly import PointSet
 
 
@@ -54,36 +54,29 @@ class CircuitData:
 
 @dataclass(frozen=True)
 class SupportAnalysis:
-    """One Hermite factorization U (1 | a_j) = H of the rows (1, a_j) of a
-    support (Cohen 1993, sec. 2.4), read by every decider.  H has rank =
-    affine dimension + 1 nonzero rows; the rows of U past them (kernel)
-    are a lattice basis of the affine relations of the points."""
+    """One echelon elimination with primitive rows of the rows (1 | a_j)
+    of a support (intlattice.echelon_rows), read by every decider.  It has
+    rank = affine dimension + 1 pivot rows; its zero rows leave the
+    primitive affine relations of the points (kernel), a basis over Q.
+    The solution columns take a backward pass, made on first use."""
 
     points: tuple
-    H: list
-    U: list
-    rank: int
+    pivots: list
+    rows: list
     kernel: list
+
+    @property
+    def rank(self):
+        return len(self.pivots)
 
     @cached_property
     def solution(self):
-        """D H^-1 U e_j for every point j, as rows over the points: H x =
-        U e_j solved by one back substitution over all right-hand sides,
-        free columns 0, scaled by the product D of the pivots.  D times
-        the inverse of the pivot columns is their adjugate, an integer
-        matrix, so every division is exact.  The columns S_j sum to
+        """D x_j for every point j, as rows over the points, where x_j
+        solves the pivot rows' equations (1 | a_j) x = e_j with free
+        columns 0 (exactly, when e_j is orthogonal to the relations) and
+        D > 0 is the lcm of the reduced pivots.  The columns S_j sum to
         (D, 0, ..., 0), the all-ones values, as column 0 is a pivot."""
-        H, r = self.H, self.rank
-        pivots = [next(k for k, h in enumerate(row) if h) for row in H[:r]]
-        D = prod(row[p] for row, p in zip(H, pivots))
-        X = [[0] * len(self.points) for _ in H[0]]
-        for p, row, u in reversed(list(zip(pivots, H, self.U))):
-            acc = [D * uj for uj in u]
-            for h, x in zip(row[p + 1:], X[p + 1:]):
-                if h:
-                    acc = [a - h * xj for a, xj in zip(acc, x)]
-            X[p] = [a // row[p] for a in acc]
-        return X
+        return echelon_solution(self.pivots, self.rows, len(self.points[0]) + 1)
 
     @cached_property
     def circuit(self):
@@ -95,7 +88,7 @@ class SupportAnalysis:
                 f" {len(self.kernel) - 1} more than dim + 2")
         if not self.kernel:
             return None
-        m = primitive_vector(self.kernel[0])
+        m = self.kernel[0]
         idx = [i for i, v in enumerate(m) if v != 0]
         sub = PointSet(tuple(self.points[i] for i in idx))
         rel = tuple(m[i] for i in idx)
@@ -109,9 +102,7 @@ def analyze_support(A) -> SupportAnalysis:
     pts = tuple(A)
     if not pts:
         raise PreconditionError("empty point set")
-    H, U = hermite_factor([[1, *p] for p in pts])
-    r = sum(1 for row in H if any(row))
-    return SupportAnalysis(pts, H, U, r, U[r:])
+    return SupportAnalysis(pts, *echelon_rows([[1, *p] for p in pts]))
 
 
 def affine_dim(A: PointSet) -> int:

@@ -1,16 +1,21 @@
-"""Exact integer matrix algebra: determinants and Hermite and Smith forms.
+"""Exact integer matrix algebra: determinants, echelon elimination, and
+Hermite and Smith forms.
 
-Everything here is fraction-free: Bareiss elimination for determinants and
-extended-gcd row operations for the normal forms, so intermediate entries
-stay integers of modest size.  The one extended gcd takes its cofactors
-from C-level gcd and modular inverse; Hermite clears an entry that its
-pivot divides with one row operation instead of a gcd rotation.  Matrices
-are lists of lists of Python ints, row-major.
+Everything here is fraction-free, so intermediate entries stay integers
+of modest size: Bareiss elimination for determinants, and one echelon
+elimination with primitive rows (each new row divided by its content) of
+[M | I], which gives the rank and kernel eagerly and the solution columns
+in a second, backward pass.  The support analysis runs on that
+elimination alone.  hermite_factor and smith_factor are kept for the
+lattice suite of the acceptance tests: extended-gcd row operations with
+cofactors from C-level gcd and modular inverse, one row operation where
+the pivot divides the entry, and Smith from alternating row and column
+Hermite forms.  Matrices are lists of lists of Python ints, row-major.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 
 
 def _copy(M):
@@ -129,101 +134,87 @@ def hermite_factor(M):
     return H, U
 
 
+def _clear(row, pivot, col):
+    """primitive(d row - b pivot), d = pivot[col] != 0, b = row[col]: the
+    row with its entry in column ``col`` cleared, divided by its content."""
+    d, b = pivot[col], row[col]
+    new = [d * x - b * y for x, y in zip(row, pivot)]
+    g = gcd(*new)
+    return new if g == 1 else [x // g for x in new]
+
+
+def echelon_rows(M):
+    """Forward pass of a fraction-free elimination of [M | I] with primitive
+    rows: (pivots, rows, kernel).  Column by column, the first remaining
+    row with a nonzero entry there clears it by _clear in the later rows
+    that have one.  ``pivots`` are the pivot columns (the Hermite form's),
+    ``rows`` the pivot rows [L_i | V_i] with V_i M = L_i, and ``kernel``
+    the V of the zero rows, a basis over Q of {v : v M = 0}.
+    Each row is the Bareiss row of the same pivots (Bareiss, Math. Comp.
+    1968) over an integer, so its entries are at most minors of M."""
+    n, width = len(M), len(M[0])
+    rows = [[*r, *[0] * j, 1, *[0] * (n - 1 - j)] for j, r in enumerate(M)]
+    pivots = []
+    for col in range(width):
+        k = len(pivots)
+        for i in range(k, n):
+            if rows[i][col]:
+                break
+        else:
+            continue
+        rows[i], rows[k] = rows[k], rows[i]
+        pivot = rows[k]
+        for i in range(k + 1, n):
+            if rows[i][col]:
+                rows[i] = _clear(rows[i], pivot, col)
+        pivots.append(col)
+    r = len(pivots)
+    return pivots, rows[:r], [row[width:] for row in rows[r:]]
+
+
+def echelon_solution(pivots, rows, width):
+    """Backward pass over echelon_rows' pivot rows for M of ``width``
+    columns: _clear reduces each [L_i | V_i] to one pivot d_i among the
+    pivot columns, and X[p_i] = (D / d_i) V_i, D = lcm(d_i) > 0, free rows 0.
+    Column j of X is D times the x with free coordinates 0 that solves the
+    pivot rows' equations of M x = e_j, so M x = e_j when e_j is consistent."""
+    rows = list(rows)
+    for i in reversed(range(len(rows))):
+        for k in range(i):
+            if rows[k][pivots[i]]:
+                rows[k] = _clear(rows[k], rows[i], pivots[i])
+    D = lcm(*(row[p] for row, p in zip(rows, pivots)))
+    X = [[0] * (len(rows[0]) - width) for _ in range(width)]
+    for p, row in zip(pivots, rows):
+        X[p] = [D // row[p] * v for v in row[width:]]
+    return X
+
+
 def smith_factor(M):
     """Smith normal form: returns (S, U, V) with U @ M @ V == S.
 
     U and V are unimodular; S is diagonal with nonnegative entries
-    satisfying the divisibility chain s1 | s2 | ... .
+    satisfying the divisibility chain s1 | s2 | ... .  Row and column
+    Hermite forms alternate until S is diagonal: each round the leading
+    entry divides the last one, and once it stays put its row and column
+    are clear.  A diagonal entry that does not divide a later one, or a 0
+    before a nonzero one, takes in the later one's row, and the rounds
+    bring it down to their gcd.
     """
-    S = _copy(M)
-    n = len(S)
-    m = len(S[0]) if n else 0
-    U = identity(n)
-    V = identity(m)
-
-    def row_op(i1, i2, s, t, q, p):
-        S[i1], S[i2] = (
-            [s * S[i1][j] + t * S[i2][j] for j in range(m)],
-            [-q * S[i1][j] + p * S[i2][j] for j in range(m)],
-        )
-        U[i1], U[i2] = (
-            [s * U[i1][j] + t * U[i2][j] for j in range(n)],
-            [-q * U[i1][j] + p * U[i2][j] for j in range(n)],
-        )
-
-    def col_op(j1, j2, s, t, q, p):
-        for i in range(n):
-            S[i][j1], S[i][j2] = (
-                s * S[i][j1] + t * S[i][j2],
-                -q * S[i][j1] + p * S[i][j2],
-            )
-        for i in range(m):
-            V[i][j1], V[i][j2] = (
-                s * V[i][j1] + t * V[i][j2],
-                -q * V[i][j1] + p * V[i][j2],
-            )
-
-    k = 0
-    while k < min(n, m):
-        # find a pivot
-        piv = None
-        for i in range(k, n):
-            for j in range(k, m):
-                if S[i][j] != 0:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
-            break
-        i0, j0 = piv
-        if i0 != k:
-            S[k], S[i0] = S[i0], S[k]
-            U[k], U[i0] = U[i0], U[k]
-        if j0 != k:
-            for i in range(n):
-                S[i][k], S[i][j0] = S[i][j0], S[i][k]
-            for i in range(m):
-                V[i][k], V[i][j0] = V[i][j0], V[i][k]
-        while True:
-            # clear column k below the pivot
-            for i in range(k + 1, n):
-                if S[i][k]:
-                    a, b = S[k][k], S[i][k]
-                    g, s, t = _egcd(a, b)
-                    row_op(k, i, s, t, b // g, a // g)
-            if all(S[k][j] % S[k][k] == 0 for j in range(k + 1, m)):
-                # plain subtractions leave the cleared column untouched
-                for j in range(k + 1, m):
-                    if S[k][j]:
-                        col_op(k, j, 1, 0, S[k][j] // S[k][k], 1)
-                break
-            # the pivot strictly shrinks here, so this terminates even
-            # though the gcd rotation may disturb the cleared column
-            for j in range(k + 1, m):
-                if S[k][j]:
-                    a, b = S[k][k], S[k][j]
-                    g, s, t = _egcd(a, b)
-                    col_op(k, j, s, t, b // g, a // g)
-        # enforce divisibility: if s_k does not divide some later entry,
-        # fold that entry's row into row k and redo the elimination
-        fixed = True
-        for i in range(k + 1, n):
-            for j in range(k + 1, m):
-                if S[i][j] % S[k][k] != 0:
-                    S[k] = [S[k][t2] + S[i][t2] for t2 in range(m)]
-                    U[k] = [U[k][t2] + U[i][t2] for t2 in range(n)]
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if not fixed:
-            continue
-        if S[k][k] < 0:
-            S[k] = [-v for v in S[k]]
-            U[k] = [-v for v in U[k]]
-        k += 1
-    return S, U, V
+    S, U = _copy(M), identity(len(M))
+    V = identity(len(M[0]) if M else 0)
+    while True:
+        if all(x >= 0 if i == j else x == 0 for i, row in enumerate(S) for j, x in enumerate(row)):
+            d = [S[i][i] for i in range(min(len(U), len(V)))]
+            bad = ((i, j) for j in range(len(d)) for i in range(j) if (d[j] % d[i] if d[i] else d[j]))
+            i, j = next(bad, (None, None))
+            if i is None:
+                return S, U, V
+            S[i][j] = d[j]
+            U[i] = [a + b for a, b in zip(U[i], U[j])]
+        T, C = hermite_factor([list(col) for col in zip(*S)])
+        S, R = hermite_factor([list(row) for row in zip(*T)])
+        U, V = mat_mul(R, U), mat_mul(V, [list(col) for col in zip(*C)])
 
 
 def primitive_vector(v):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -214,3 +215,26 @@ def test_degenerate_point_matches_smith_reference():
             assert p.coordinates == _power(p.rhos, p.orders, p.mixing, 1)
         seen["irrational" if p.coordinates is None else "rational"] += 1
     assert min(seen.values()) > 50, seen
+
+
+def test_caged_vanish_cost_does_not_grow_with_exponents():
+    # coefficients m_j 2^(u_j) 3^(v_j) of up to 45,285 bits, u and v
+    # 3000 times vectors orthogonal to m, shifted to be >= 0: the
+    # discriminant vanishes, and its gcd-free basis shares powers of 2
+    # and 3 with exponents in the tens of thousands
+    pts = [(1, 6), (4, 4), (12, 1), (7, 3)]
+    circuit, idx = find_circuit(pts)
+    m = circuit.relation
+    assert (m, idx) == ((1, 3, 3, -7), [0, 1, 2, 3])
+
+    def shifted(p, q):
+        v = [0] * len(m)
+        v[p], v[q] = 3000 * m[q], -3000 * m[p]
+        return [x - min(v) for x in v]
+
+    u, v = shifted(0, 1), shifted(1, 3)
+    coeffs = tuple(mj * 2**a * 3**b for mj, a, b in zip(m, u, v))
+    assert max(c.bit_length() for c in coeffs) == 45285
+    start = time.monotonic()
+    assert adisc_vanish(CircuitDiscriminant(circuit, coeffs))
+    assert time.monotonic() - start < 0.5

@@ -1,8 +1,10 @@
 """Tests for gcd-free bases, binomial vanishing, and certified log signs."""
 
+import itertools
 import math
 import random
 import re
+import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -74,6 +76,73 @@ def test_gcd_free_basis_prime_powers():
     basis = gcd_free_basis(values)
     _check_basis(values, basis)
     assert set(basis.gammas) == {2, 3}
+
+
+def _gcd_free_basis_reference(alphas):
+    """The gcd-free basis by one split a/g, g, b/g of a pair with
+    g = gcd(a, b) > 1 per round, and each exponent by repeated division."""
+    basis = sorted(set(alphas) - {1})
+    while pair := next((p for p in itertools.combinations(basis, 2) if math.gcd(*p) > 1), None):
+        a, b = pair
+        g = math.gcd(a, b)
+        basis = sorted(set(basis) - {a, b} | {a // g, g, b // g} - {1})
+    matrix = []
+    for a in alphas:
+        row = []
+        for g in basis:
+            e = 0
+            while a % g == 0:
+                a //= g
+                e += 1
+            row.append(e)
+        matrix.append(tuple(row))
+    return exactsign.GcdFreeBasis(tuple(basis), tuple(matrix))
+
+
+def _basis_lists(rng, count):
+    """Lists of 1 to 6 integers >= 1, by thirds: products of small prime
+    powers, random values up to 10^6, and multiples of earlier entries."""
+    primes = (2, 3, 5, 7, 11, 13)
+    for k in range(count):
+        values = []
+        for _ in range(rng.randint(1, 6)):
+            if k % 3 == 0:
+                v = math.prod(rng.choice(primes) ** rng.randint(0, 6) for _ in range(rng.randint(1, 3)))
+            elif k % 3 == 1 or not values:
+                v = rng.randint(1, 10**6)
+            else:
+                v = rng.choice(values) * rng.randint(1, 60)
+            values.append(v)
+        yield values
+
+
+def _power_chains(rng, count):
+    """Lists whose shared factors are powers with exponents up to 400, on
+    which one split per round needs hundreds of rounds."""
+    for k in range(count):
+        p, q, r = rng.sample((2, 3, 5, 7, 11, 13, 17), 3)
+        e = rng.randint(2, 400)
+        yield [p**e * q ** (e // 2), p ** (e - 1) * q ** (e // 2 + 1) * r, r**e]
+        yield [math.prod(b ** rng.randint(0, 400) for b in (p, q, r)) for _ in range(rng.randint(2, 5))]
+
+
+def test_gcd_free_basis_matches_one_split_per_round():
+    # splitting out every power of a shared factor at once reaches the
+    # same coarsest basis, with the same exponents
+    rng = random.Random(1515)
+    for values in itertools.chain(_basis_lists(rng, 40000), _power_chains(rng, 100)):
+        assert gcd_free_basis(values) == _gcd_free_basis_reference(values), values
+
+
+def test_gcd_free_basis_cost_does_not_grow_with_exponents():
+    # 2^k 3^(k/2), 2^(k-1) 3^(k/2+1) 5 and 5^k share powers of 2, 3 and 5
+    # that one split per round peels off a factor at a time
+    k = 6000
+    start = time.monotonic()
+    basis = gcd_free_basis([2**k * 3 ** (k // 2), 2 ** (k - 1) * 3 ** (k // 2 + 1) * 5, 5**k])
+    assert time.monotonic() - start < 0.1
+    assert basis.gammas == (2, 3, 5)
+    assert basis.exponent_matrix == ((k, k // 2, 0), (k - 1, k // 2 + 1, 1), (0, 0, k))
 
 
 def test_binomial_vanish_true():

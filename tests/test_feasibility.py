@@ -188,17 +188,17 @@ def _count_calls(monkeypatch, real):
     return calls
 
 
-def _count_hermite_calls(monkeypatch):
-    return _count_calls(monkeypatch, intlattice.hermite_factor)
+def _count_echelon_calls(monkeypatch):
+    return _count_calls(monkeypatch, intlattice.echelon_rows)
 
 
 def test_circuit_lattice_call_budget(monkeypatch):
-    # one Hermite factorization of the (1 | a_j) rows; every mixed facet
-    # normal is a back substitution against it
+    # one echelon elimination of the (1 | a_j) rows; every mixed facet
+    # normal is a read of its solution columns
     f = parse("1 + x1 + x2 + x3 + x4 - 2*x1*x2*x3*x4")
     mixed = _mixed_facets(f)
     assert len(mixed) == 4
-    calls = _count_hermite_calls(monkeypatch)
+    calls = _count_echelon_calls(monkeypatch)
     rep = feas_circuit(parse("1 + x1^4 + x2^4 - 3*x1*x2"))
     assert rep.classification == COMPACT_SPHERE
     assert len(calls) == 1
@@ -222,17 +222,19 @@ def test_circuit_lattice_call_budget(monkeypatch):
     (classify_positive, "1 + x1^3 + x2^3 - 3*x1*x2"),  # singular point
 ])
 def test_one_hermite_factorization_per_support(monkeypatch, call, text):
+    # one echelon elimination per support, which replaced the Hermite one
     f = parse(text)
-    calls = _count_hermite_calls(monkeypatch)
+    calls = _count_echelon_calls(monkeypatch)
     call(f)
     assert len(calls) == 1
 
 
 def test_degenerate_point_has_small_exact_coordinates():
-    # the singular point (1, 2, 2, 2) is rational, but a solution column
-    # of this support carries a multiple of the relation with entries near
-    # 10^6 against a pivot product of 279: powers taken directly, or by a
-    # second factorization, run to millions of bits
+    # the singular point (1, 2, 2, 2) is rational, but a Hermite solve of
+    # this support carries a multiple of the relation with entries near
+    # 10^6 against a pivot product of 279 (the echelon solution: 2,710
+    # against 279): powers taken directly, or by a second factorization,
+    # run to millions of bits
     f = parse(
         "x1^6*x2^19*x3^13*x4^3 + 8192*x1^10*x2^8*x3^4*x4^10"
         " + 131072*x1^13*x2^6*x3^7*x4^5 - 458752*x1^13*x2^8*x3^4*x4^7"
@@ -246,11 +248,35 @@ def test_degenerate_point_has_small_exact_coordinates():
     assert _singular_point_vanishes(f, rep.certificate)
 
 
+def test_solution_columns_are_built_only_when_read(monkeypatch):
+    # the backward pass runs only for a certificate read off the solution
+    # columns: not to find a circuit, nor for a one-sign circuit with
+    # even exponents, whose every root set is empty
+    solves = _count_calls(monkeypatch, intlattice.echelon_solution)
+    assert find_circuit([(0, 0), (4, 0), (0, 4), (1, 1)])[1] == [0, 1, 2, 3]
+    rep = feas_real_full(parse("1 + 3*x1^2 + 2*x2^4 + x1^2*x2^2"))
+    assert (rep.positive_orthant, rep.nonzero_reals, rep.all_reals) == ("empty",) * 3
+    assert solves == []
+    feas_circuit(parse("1 + x1 + x2 + x3 + x4 - 2*x1*x2*x3*x4"))
+    assert len(solves) == 1
+
+
+def test_singular_point_decides_vanishing_once(monkeypatch):
+    # adisc_sign has found the discriminant zero; the singular point is
+    # then solved without checking it again
+    from sparsefeas import discriminant
+
+    checks = _count_calls(monkeypatch, discriminant.adisc_vanish)
+    rep = feas_circuit(parse("1 + x1^3 + x2^3 - 3*x1*x2"))
+    assert (rep.classification, rep.certificate.coordinates) == (SINGULAR_POINT, (1, 1))
+    assert checks == []
+
+
 def test_real_dispatch_one_factorization_over_closed_subsets(monkeypatch):
     # the circuit lies on the x1 axis and every sign class is mixed, so
     # each of the 512 closed subsets holding it asks the circuit rule
     f = parse("1 - x1^2 + x1^4 + " + " + ".join(f"x{i}^2" for i in range(2, 11)))
-    calls = _count_hermite_calls(monkeypatch)
+    calls = _count_echelon_calls(monkeypatch)
     rep = feas_real_full(f)
     assert (rep.positive_orthant, rep.nonzero_reals, rep.all_reals) == ("empty",) * 3
     assert len(calls) == 1
@@ -295,7 +321,7 @@ def _facet_certificate_reference(f):
 
 def test_certificates_match_kernel_rules(capsys):
     # full-dimensional supports: sign-change pairs and facet normals from
-    # the one factorization equal those of the per-point and per-facet
+    # the one elimination equal those of the per-point and per-facet
     # kernels, in the library and in the CLI JSON
     rng = random.Random(808)
     checked = {"pair": 0, "flip": 0, "facet": 0}
@@ -671,7 +697,7 @@ def test_real_full_simplex_builds_nothing(monkeypatch):
 
     f = parse("1 + x1 + x2^2")
     made = _count_calls(monkeypatch, sparsepoly.make_polynomial)
-    factors = _count_hermite_calls(monkeypatch)
+    factors = _count_echelon_calls(monkeypatch)
     rep = feas_real_full(f)
     assert (rep.positive_orthant, rep.nonzero_reals, rep.all_reals) == ("empty", "nonempty", "nonempty")
     assert (len(made), len(factors)) == (0, 1)

@@ -4,7 +4,9 @@ import ast
 import random
 from itertools import combinations
 from math import prod
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,7 +19,7 @@ from sparsefeas.geometry import (
     find_circuit,
     interior_point,
 )
-from sparsefeas.intlattice import primitive_vector, smith_factor
+from sparsefeas.intlattice import hermite_factor, primitive_vector, smith_factor
 from sparsefeas.sparsepoly import make_polynomial, parse, support
 
 
@@ -33,7 +35,7 @@ def _rank(M):
 def _integer_kernel(M):
     """A lattice basis of {v : M v == 0}, as rows: the columns of V past
     the nonzero diagonal of the Smith form U M V = S, independent of the
-    Hermite factorization that analyze_support reads its relations from."""
+    echelon elimination that analyze_support reads its relations from."""
     S, _, V = smith_factor(M)
     r = sum(1 for i in range(min(len(S), len(S[0]))) if S[i][i])
     return [[row[k] for row in V] for k in range(r, len(V))]
@@ -242,8 +244,8 @@ def test_facet_normals_match_subset_scan():
 
 
 def test_facet_normal_solves_match_kernel_rule():
-    # each facet's normal is a column read of the support's one adjugate
-    # solve; it must equal the facet's own kernel, oriented
+    # each facet's normal is a column read of the support's one solution;
+    # it must equal the facet's own kernel, oriented
     rng = random.Random(4242)
     facets = 0
     for k in range(1000):
@@ -282,33 +284,51 @@ def test_affine_function_lower_dimensional():
         if an.kernel:
             continue
         assert an.rank <= n
-        X, D = an.solution, _pivot_product(an)
+        ref = _hermite_analysis_reference(pts)
+        X, D = an.solution, sum(an.solution[0])
         for j in range(len(pts)):
             values = [int(i != j) for i in range(len(pts))]
             read = primitive_vector([D - X[0][j], *(-x[j] for x in X[1:])])
-            assert (read[0], tuple(read[1:])) == _affine_function_reference(an, values), pts
+            assert (read[0], tuple(read[1:])) == _affine_function_reference(ref, values), pts
             if any(values):
                 assert _meets(pts, (read[0], read[1:]), values), pts
         values = [rng.randint(0, 5) for _ in pts]
         if not any(values):
             continue
         cw = _column_read(an, values)
-        assert cw == _affine_function_reference(an, values), pts
+        assert cw == _affine_function_reference(ref, values), pts
         assert _meets(pts, cw, values), pts
 
 
-def _affine_function_reference(an, values):
-    """The primitive (c, w) with c + w . a_j a positive multiple of
-    values[j] at every point, by its own back substitution of
-    H x = U values, free columns 0, scaled by the product D of the
-    pivots."""
-    H, r = an.H, an.rank
+def _hermite_analysis_reference(pts):
+    """The support analysis by a Hermite factorization U (1 | a_j) = H:
+    its rank, pivot columns, kernel U[rank:], and the solution columns of
+    H x = U e_j by one back substitution over all right-hand sides, free
+    columns 0, scaled by the product D of the pivots."""
+    H, U = hermite_factor([[1, *p] for p in pts])
+    r = sum(1 for row in H if any(row))
     pivots = [next(k for k, h in enumerate(row) if h) for row in H[:r]]
     D = prod(row[p] for row, p in zip(H, pivots))
+    X = [[0] * len(pts) for _ in H[0]]
+    for p, row, u in reversed(list(zip(pivots, H, U))):
+        acc = [D * uj for uj in u]
+        for h, x in zip(row[p + 1:], X[p + 1:]):
+            if h:
+                acc = [a - h * xj for a, xj in zip(acc, x)]
+        X[p] = [a // row[p] for a in acc]
+    return SimpleNamespace(H=H, U=U, rank=r, pivots=pivots, kernel=U[r:], D=D, solution=X)
+
+
+def _affine_function_reference(ref, values):
+    """The primitive (c, w) with c + w . a_j a positive multiple of
+    values[j] at every point, by its own back substitution of
+    H x = U values in the Hermite reference ``ref``, free columns 0,
+    scaled by the product D of the pivots."""
+    H = ref.H
     x = [0] * len(H[0])
-    for p, row, u in reversed(list(zip(pivots, H, an.U))):
+    for p, row, u in reversed(list(zip(ref.pivots, H, ref.U))):
         b = sum(uj * v for uj, v in zip(u, values))
-        x[p] = (D * b - sum(row[k] * x[k] for k in range(p + 1, len(x)))) // row[p]
+        x[p] = (ref.D * b - sum(row[k] * x[k] for k in range(p + 1, len(x)))) // row[p]
     c, *w = primitive_vector(x)
     return c, tuple(w)
 
@@ -324,8 +344,8 @@ def _embedded_support(rng):
 
 
 def test_affine_function_matches_back_substitution():
-    # the one adjugate solve per support, summed over the nonzero values,
-    # equals a fresh back substitution for every facet and every dominant
+    # the one solution per support, summed over the nonzero values, equals
+    # a fresh Hermite back substitution for every facet and every dominant
     # direction 1 - e_j; values that are not orthogonal to the relations
     # are no affine function's values
     rng = random.Random(77)
@@ -340,6 +360,7 @@ def test_affine_function_matches_back_substitution():
         an = analyze_support(pts)
         if len(an.kernel) > 1:
             continue
+        ref = _hermite_analysis_reference(pts)
         m = an.kernel[0] if an.kernel else [0] * len(pts)
         apexes = [(z,) for z, v in enumerate(m) if v == 0]
         vectors = [_facet_values(m, out) for out in facet_complements(m) + apexes]
@@ -350,15 +371,10 @@ def test_affine_function_matches_back_substitution():
                 refused += 1
             elif any(values):
                 cw = _column_read(an, values)
-                assert cw == _affine_function_reference(an, values), pts
+                assert cw == _affine_function_reference(ref, values), pts
                 assert _meets(pts, cw, values), pts
                 solves += 1
     assert solves > 7000 and refused > 1000, (solves, refused)
-
-
-def _pivot_product(an):
-    """The product D of the pivots of the support's Hermite form."""
-    return prod(next(h for h in row if h) for row in an.H[:an.rank])
 
 
 def _mixed_supports(rng, count):
@@ -374,13 +390,13 @@ def _mixed_supports(rng, count):
 
 
 def test_solution_columns_sum_to_pivot_product():
-    # the columns S_j of the adjugate solve sum to (D, 0, ..., 0): the
-    # all-ones values, since column 0 of (1 | a_j) is always a pivot
+    # the columns S_j of the solution sum to (D, 0, ..., 0) with D > 0:
+    # the all-ones values, since column 0 of (1 | a_j) is always a pivot
     rng = random.Random(1201)
     lower = 0
     for pts in _mixed_supports(rng, 1200):
         an = analyze_support(pts)
-        D = _pivot_product(an)
+        D = sum(an.solution[0])
         assert D > 0
         assert [sum(row) for row in an.solution] == [D] + [0] * len(pts[0]), pts
         lower += an.rank <= len(pts[0])
@@ -397,17 +413,18 @@ def test_column_reads_match_affine_function():
         an = analyze_support(pts)
         if len(an.kernel) > 1:
             continue
-        X, D = an.solution, _pivot_product(an)
+        ref = _hermite_analysis_reference(pts)
+        X, D = an.solution, sum(an.solution[0])
         m = an.kernel[0] if an.kernel else [0] * len(pts)
         for p, q in facet_complements(m):
             read = primitive_vector([m[p] * x[q] - m[q] * x[p] for x in X])
-            want = _affine_function_reference(an, _facet_values(m, (p, q)))
+            want = _affine_function_reference(ref, _facet_values(m, (p, q)))
             assert (read[0], tuple(read[1:])) == want, pts
             pairs += 1
         for j in (j for j, v in enumerate(m) if v == 0):
             read = primitive_vector([D - X[0][j], *(-x[j] for x in X[1:])])
             values = [int(i != j) for i in range(len(pts))]
-            assert (read[0], tuple(read[1:])) == _affine_function_reference(an, values), pts
+            assert (read[0], tuple(read[1:])) == _affine_function_reference(ref, values), pts
             directions += 1
     assert pairs > 1000 and directions > 2000
 
@@ -455,27 +472,107 @@ def _callers(path, name):
 
 
 def test_only_analyze_support_factors():
-    # one Hermite factorization per instance: outside intlattice itself,
-    # only geometry.analyze_support may compute one (the package also
-    # re-exports the function)
-    callers = {
-        f"{path.stem}.{scope}"
-        for path in sorted(SRC.glob("*.py"))
-        if path.stem != "intlattice"
-        for scope in _callers(path, "hermite_factor")
-    }
-    assert callers == {
-        "geometry.analyze_support",
-        "geometry.import in module",
-        "__init__.import in module",
-    }
-    # no decider takes a Smith form: the package only re-exports it
-    callers = {
-        f"{path.stem}.{scope}"
-        for path in sorted(SRC.glob("*.py"))
-        if path.stem != "intlattice"
-        for scope in _callers(path, "smith_factor")
-    }
-    assert callers == {"__init__.import in module"}
+    # one echelon elimination per instance: outside intlattice itself,
+    # only geometry.analyze_support runs its forward pass, and only the
+    # analysis's solution its backward pass
+    def callers(name):
+        return {
+            f"{path.stem}.{scope}"
+            for path in sorted(SRC.glob("*.py"))
+            if path.stem != "intlattice"
+            for scope in _callers(path, name)
+        }
+
+    imported = {"geometry.import in module"}
+    assert callers("echelon_rows") == imported | {"geometry.analyze_support"}
+    assert callers("echelon_solution") == imported | {"geometry.SupportAnalysis.solution"}
+    # no decider takes a Hermite or a Smith form: the package only
+    # re-exports them
+    assert callers("hermite_factor") == {"__init__.import in module"}
+    assert callers("smith_factor") == {"__init__.import in module"}
     # the helper sees calls inside intlattice
-    assert {"hermite_factor", "smith_factor"} <= _callers(SRC / "intlattice.py", "_egcd")
+    assert "hermite_factor" in _callers(SRC / "intlattice.py", "_egcd")
+    assert "smith_factor" in _callers(SRC / "intlattice.py", "hermite_factor")
+    assert {"echelon_rows", "echelon_solution"} <= _callers(SRC / "intlattice.py", "_clear")
+
+
+def _disc_sign_circuits(rng, count, bits=(40, 62)):
+    """Full circuits of n + 2 points in R^n, n = 2, 3, with coordinates of
+    ``bits`` bits, the shape of the disc_sign benchmark's circuits."""
+    out = []
+    while len(out) < count:
+        n = 2 + len(out) % 2
+        b = rng.randint(*bits)
+        pts = [tuple(rng.getrandbits(b) for _ in range(n)) for _ in range(n + 2)]
+        ref = _hermite_analysis_reference(pts)
+        if ref.rank == n + 1 and all(ref.kernel[0]):
+            out.append(pts)
+    return out
+
+
+def _ratios(X, D, values):
+    """X values / D: the solution of (1 | a_j) x = values with free
+    coordinates 0, the same for every solution matrix when the values are
+    orthogonal to the relations."""
+    return [Fraction(sum(x * v for x, v in zip(row, values)), D) for row in X]
+
+
+def test_echelon_analysis_matches_hermite_reference():
+    # the primitive-row elimination and the Hermite factorization agree on
+    # rank, pivot columns and kernel (up to sign, or as a basis over Q of
+    # the same relations), and on everything a decider reads off the
+    # solution: facet normals, dominant directions and the exponent
+    # ratios E/P of a degenerate point, E = S e for e orthogonal to m
+    rng = random.Random(1818)
+    supports = list(_mixed_supports(rng, 3000)) + _disc_sign_circuits(rng, 300)
+    facets = directions = ratios = 0
+    for pts in supports:
+        an, ref = analyze_support(pts), _hermite_analysis_reference(pts)
+        assert (an.rank, an.pivots) == (ref.rank, ref.pivots), pts
+        assert len(an.kernel) == len(ref.kernel), pts
+        if len(an.kernel) > 1:
+            rows = [[1, *p] for p in pts]
+            assert all(not any(sum(v * r[k] for v, r in zip(row, rows)) for k in range(len(rows[0])))
+                       for row in an.kernel), pts
+            assert _rank(an.kernel + ref.kernel) == len(ref.kernel), pts
+            continue
+        m = an.kernel[0] if an.kernel else [0] * len(pts)
+        if an.kernel:
+            assert an.kernel[0] in (ref.kernel[0], [-x for x in ref.kernel[0]]), pts
+        X, D, Y = an.solution, sum(an.solution[0]), ref.solution
+        for p, q in facet_complements(m):
+            got, want = (primitive_vector([m[p] * x[q] - m[q] * x[p] for x in S]) for S in (X, Y))
+            assert got == want, pts
+            facets += 1
+        for j in (j for j, v in enumerate(m) if v == 0):
+            got = primitive_vector([D - X[0][j], *(-x[j] for x in X[1:])])
+            assert got == primitive_vector([ref.D - Y[0][j], *(-y[j] for y in Y[1:])]), pts
+            directions += 1
+        mm = sum(v * v for v in m)
+        for _ in range(2):
+            y = [rng.randint(-9, 9) for _ in pts]
+            e = [mm * yj - sum(a * b for a, b in zip(m, y)) * mj for yj, mj in zip(y, m)] if mm else y
+            assert _ratios(X[1:], D, e) == _ratios(Y[1:], ref.D, e), pts
+            ratios += 1
+    assert facets > 3000 and directions > 5000 and ratios > 6000, (facets, directions, ratios)
+
+
+def _minor_bound_squared(pts, r):
+    """The square of the Hadamard bound on the minors of (1 | a_j) of size
+    at most r: the product of the r largest squared row norms."""
+    return prod(sorted((1 + sum(a * a for a in p) for p in pts), reverse=True)[:r])
+
+
+def test_echelon_entries_within_hadamard_bound():
+    # every stored row is a multiple of a Bareiss row, and the solution
+    # is D/d_i times a reduced row with D | the pivot minor, so no entry of
+    # the kernel or the solution exceeds the bound on the rank-size minors
+    rng = random.Random(1819)
+    supports = _disc_sign_circuits(rng, 300, bits=(62, 62))
+    for k in range(1500):
+        n = 1 + k % 6
+        supports.append([tuple(rng.getrandbits(20) for _ in range(n)) for _ in range(n + 1 + k % 2)])
+    for pts in supports:
+        an = analyze_support(pts)
+        bound = _minor_bound_squared(pts, an.rank)
+        assert max(x * x for row in an.kernel + an.solution for x in row) <= bound, pts
