@@ -116,8 +116,11 @@ class DegeneratePoint:
     """The degenerate point of a vanished discriminant, positive orthant.
 
     Coordinates are zeta_k = prod_b rhos[b] ** (mixing[k][b] / orders[b]),
-    the rhos pairwise coprime integers > 1; when every order is 1 the
-    exact rational tuple is in ``coordinates``.
+    the rhos pairwise coprime integers > 1, each fraction in lowest terms
+    (column b of mixing and orders[b] share no factor).  A rho with order
+    > 1 is not a p-th power for any prime p of its order, so the point is
+    rational exactly when every order is 1, and then the exact rational
+    tuple is in ``coordinates``.
     """
 
     rhos: tuple[Fraction, ...]
@@ -145,6 +148,26 @@ def degenerate_point(D: CircuitDiscriminant, an: SupportAnalysis | None = None) 
     return _degenerate_point(D, an or analyze_support(D.circuit.points))
 
 
+def _root_out(rho: int, order: int):
+    """(rho, order) with rho replaced by its integer p-th root and order by
+    order / p while some prime p divides the order and rho is a p-th
+    power.  Candidates p run up; a composite one never fires, as one of
+    its primes would have.  rho = s^p > 1 needs p < bits of rho.  The
+    root is Newton's iteration from 2^ceil(bits / p) >= rho^(1/p) down to
+    floor(rho^(1/p))."""
+    p = 2
+    while p <= order and p < rho.bit_length():
+        if order % p == 0:
+            s = 1 << -(-rho.bit_length() // p)
+            while (y := ((p - 1) * s + rho // s ** (p - 1)) // p) < s:
+                s = y
+            if s**p == rho:
+                rho, order = s, order // p
+                continue
+        p += 1
+    return rho, order
+
+
 def _degenerate_point(D: CircuitDiscriminant, an: SupportAnalysis) -> DegeneratePoint:
     """degenerate_point for a discriminant already known to vanish."""
     m, c = D.circuit.relation, D.coefficients
@@ -159,8 +182,10 @@ def _degenerate_point(D: CircuitDiscriminant, an: SupportAnalysis) -> Degenerate
          for row in an.solution[1:]]
     cols = [b for b in range(len(basis.gammas)) if any(row[b] for row in E)]
     gs = [gcd(P, *(row[b] for row in E)) for b in cols]
-    rhos = tuple(Fraction(basis.gammas[b]) for b in cols)
-    orders = tuple(P // g for g in gs)
+    # rho^(e/o) = s^(e/(o/p)) for rho = s^p, and (o/p, e) stays coprime
+    roots = [_root_out(basis.gammas[b], P // g) for b, g in zip(cols, gs)]
+    rhos = tuple(Fraction(rho) for rho, _ in roots)
+    orders = tuple(o for _, o in roots)
     mixing = tuple(tuple(row[b] // g for b, g in zip(cols, gs)) for row in E)
     coords = None
     if all(o == 1 for o in orders):

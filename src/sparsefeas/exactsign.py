@@ -66,17 +66,23 @@ class GcdFreeBasis:
 
 
 def _split_powers(a: int, g: int):
-    """(k, a / g^k) for the largest k with g^k | a, g > 1: g, g^2, g^4, ...
-    while they divide a, then the binary digits of k from the top, so
-    O(log k) divisions rather than k."""
+    """(k, a / g^k) for the largest k with g^k | a, g > 1: divide by g,
+    g^2, g^4, ... while they divide, then by the same powers from the top
+    while they still do, the binary digits of the rest of k.  O(log k)
+    divisions, each of the quotient so far rather than of a."""
     powers = []
-    while a % g == 0:
+    while True:
+        q, r = divmod(a, g)
+        if r:
+            break
         powers.append(g)
+        a = q
         g *= g
-    k = 0
+    k = (1 << len(powers)) - 1
     for i in reversed(range(len(powers))):
-        if a % powers[i] == 0:
-            a //= powers[i]
+        q, r = divmod(a, powers[i])
+        if not r:
+            a = q
             k += 1 << i
     return k, a
 

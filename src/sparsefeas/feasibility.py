@@ -76,19 +76,32 @@ class FeasibilityReport:
     certificate: object = None
 
 
-def _sign_change_pair(an: SupportAnalysis, coeffs):
+def _sign_change_pair(an: SupportAnalysis, coeffs, flip=None):
     """Two points t^w > 0 where a polynomial with coefficients ``coeffs``
     on the affinely independent support of ``an`` takes opposite signs:
     where its first positive and its first negative term dominate.  The
     columns S_j of an.solution sum to D e_0, so primitive(D e_0 - S_j) is
     the affine function (c, w) with values 1 - e_j: w . (a_i - a_j) = c > 0
-    for all i != j, and t = 1/(1 + sum |c_i|)."""
+    for all i != j, and t = 1/N with N = 1 + sum |c_i|.  The powers stay
+    integers until the last step: one Fraction t^w_k per distinct w_k,
+    1/N^w_k or N^-w_k.  Coordinate ``flip``, when given, is negated in
+    both points."""
     X = an.solution
     D = sum(X[0])
-    t = Fraction(1, 1 + sum(abs(c) for c in coeffs))
-    ends = [next(j for j, c in enumerate(coeffs) if c * e > 0) for e in (1, -1)]
-    ws = (primitive_vector([D - X[0][j], *(-x[j] for x in X[1:])])[1:] for j in ends)
-    return tuple(tuple(t ** wk for wk in w) for w in ws)
+    N = 1 + sum(abs(c) for c in coeffs)
+    powers = {}
+    pair = []
+    for sign in (1, -1):
+        j = next(j for j, c in enumerate(coeffs) if c * sign > 0)
+        w = primitive_vector([D - X[0][j]] + [-x[j] for x in X[1:]])[1:]
+        for wk in w:
+            if wk not in powers:
+                powers[wk] = Fraction(1, N**wk) if wk >= 0 else Fraction(N**-wk)
+        point = [powers[wk] for wk in w]
+        if flip is not None:
+            point[flip] = -point[flip]
+        pair.append(tuple(point))
+    return tuple(pair)
 
 
 def feas_simplex(f: SparsePolynomial, an: SupportAnalysis | None = None) -> FeasibilityReport:
@@ -117,8 +130,7 @@ def feas_simplex(f: SparsePolynomial, an: SupportAnalysis | None = None) -> Feas
         # flipping coordinate i mixes the signs there, on the same support
         # and with the same |c_j|
         flipped = [c * (-1) ** (t.exponents[i] % 2) for c, t in zip(coeffs, f.terms)]
-        pair = _sign_change_pair(an, flipped)
-        cert = tuple(tuple(-v if k == i else v for k, v in enumerate(x)) for x in pair)
+        cert = _sign_change_pair(an, flipped, flip=i)
         return FeasibilityReport("empty", "nonempty", "nonempty", EMPTY, cert)
     if f.is_laurent:
         return FeasibilityReport("empty", "empty", "empty", EMPTY)

@@ -65,6 +65,18 @@ def test_feas_positive_irrational_witness(capsys):
     assert payload["witness"] == {"rhos": ["2"], "orders": [2], "mixing": [[1]]}
 
 
+def test_feas_positive_perfect_power_witness_is_coordinates(capsys):
+    # the basis element 4 has order 2 and is 2^2, so the singular point
+    # (1, 2) is rational and prints as coordinates
+    code, payload = _run(
+        capsys, "feas", "--set", "positive", "--expr",
+        "4*x1^3*x2^4 + 320*x1^7 - 64*x1^8*x2^4 + 10*x1^9*x2^6",
+    )
+    assert code == 0
+    assert payload["classification"] == "SINGULAR_POINT"
+    assert payload["witness"] == ["1", "2"]
+
+
 def test_feas_positive_empty(capsys):
     code, payload = _run(capsys, "feas", "--set", "positive", "--expr", "1 + x1 + x1^3")
     assert code == 0

@@ -159,13 +159,13 @@ def _power(rhos, orders, mixing, L):
     )
 
 
-def _vanishing_circuit(rng):
+def _vanishing_circuit(rng, bases=(2, 3)):
     """A full-dimensional circuit in n <= 3 variables with exponents <= 6 and
-    coefficients m_j 2^(u_j) 3^(v_j), with u and v orthogonal to the
-    relation m, so the discriminant vanishes; the singular point is
-    irrational when u, v leave the lattice spanned by the (1 | a_j).  One
-    in four has a coefficient of an even m_j negated, leaving no positive
-    singular point."""
+    coefficients m_j b^(u_j) c^(v_j), (b, c) the ``bases``, with u and v
+    orthogonal to the relation m, so the discriminant vanishes; the
+    singular point is irrational when u, v leave the lattice spanned by the
+    (1 | a_j) and b, c are not powers.  One in four has a coefficient of an
+    even m_j negated, leaving no positive singular point."""
     while True:
         n = rng.randint(1, 3)
         pts = [tuple(rng.randint(0, 6) for _ in range(n)) for _ in range(n + 2)]
@@ -184,7 +184,7 @@ def _vanishing_circuit(rng):
             u[p] += k * m[q]
             u[q] -= k * m[p]
         logs.append([v - min(u) for v in u])
-    c = [mj * 2 ** u * 3 ** v for mj, u, v in zip(m, *logs)]
+    c = [mj * bases[0] ** u * bases[1] ** v for mj, u, v in zip(m, *logs)]
     even = [j for j, mj in enumerate(m) if mj % 2 == 0]
     if even and rng.random() < 0.25:
         c[rng.choice(even)] *= -1
@@ -214,6 +214,54 @@ def test_degenerate_point_matches_smith_reference():
         if p.coordinates is not None:
             assert p.coordinates == _power(p.rhos, p.orders, p.mixing, 1)
         seen["irrational" if p.coordinates is None else "rational"] += 1
+    assert min(seen.values()) > 50, seen
+
+
+def _is_power(a, p):
+    """Whether a = s^p for an integer s, by bisection on s."""
+    lo, hi = 1, a
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if mid**p <= a else (lo, mid - 1)
+    return lo**p == a
+
+
+def _primes_dividing(n):
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out + [n] * (n > 1)
+
+
+def test_degenerate_point_roots_out_perfect_powers():
+    # on bases such as 4, 8 and 36 a basis element of order o can be a
+    # p-th power for a prime p | o; its root with order o / p is the same
+    # point, so no rho keeps such an order, and the point is rational
+    # exactly when every order is 1
+    rng = random.Random(1818)
+    seen = {"rational": 0, "irrational": 0, "reference orders > 1, rational": 0}
+    for _ in range(600):
+        D = _vanishing_circuit(rng, rng.sample((2, 3, 4, 8, 9, 16, 27, 36), 2))
+        try:
+            rhos, orders, mixing = _degenerate_point_reference(D)
+        except NoRealSolutionError:
+            continue
+        p = degenerate_point(D)
+        L = math.lcm(*orders, *p.orders)
+        assert _power(p.rhos, p.orders, p.mixing, L) == _power(rhos, orders, mixing, L)
+        assert all(math.gcd(int(a), int(b)) == 1 for i, a in enumerate(p.rhos) for b in p.rhos[:i])
+        for rho, o in zip(p.rhos, p.orders):
+            assert not any(_is_power(int(rho), q) for q in _primes_dividing(o)), (D, p)
+        rational = all(o == 1 for o in p.orders)
+        assert (p.coordinates is not None) == rational
+        if rational:
+            assert p.coordinates == _power(p.rhos, p.orders, p.mixing, 1)
+            seen["reference orders > 1, rational"] += any(o > 1 for o in orders)
+        seen["rational" if rational else "irrational"] += 1
     assert min(seen.values()) > 50, seen
 
 

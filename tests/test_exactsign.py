@@ -145,6 +145,26 @@ def test_gcd_free_basis_cost_does_not_grow_with_exponents():
     assert basis.exponent_matrix == ((k, k // 2, 0), (k - 1, k // 2 + 1, 1), (0, 0, k))
 
 
+def _split_powers_reference(a, g):
+    """(k, a / g^k) by one division by g at a time."""
+    k = 0
+    while a % g == 0:
+        a //= g
+        k += 1
+    return k, a
+
+
+def test_split_powers_matches_one_division_loop():
+    # dividing the running quotient by g, g^2, g^4, ... and back down finds
+    # every k: 0, 2^i - 1, 2^i, and k of a cofactor that g divides again
+    rng = random.Random(1616)
+    for _ in range(3000):
+        g = rng.choice((2, 3, 6, 10, 21, rng.randint(2, 10**6)))
+        k = rng.choice((0, 1, 2, 3, 7, 8, 15, 16, rng.randint(0, 300)))
+        a = g**k * rng.choice((1, g + 1, g * rng.randint(1, 50), rng.randint(1, 10**30)))
+        assert exactsign._split_powers(a, g) == _split_powers_reference(a, g), (a, g)
+
+
 def test_binomial_vanish_true():
     assert binomial_vanish([2], [8], [3], [1])
     assert binomial_vanish([4, 6], [12, 1], [1, 2], [2, 1])  # 4 * 36 == 144

@@ -27,7 +27,7 @@ from sparsefeas.feasibility import (
     feas_simplex,
     topology_report,
 )
-from sparsefeas.geometry import facet_complements, find_circuit
+from sparsefeas.geometry import analyze_support, facet_complements, find_circuit
 from sparsefeas.oracle import grid_scan, multiple_root_count, sturm_count
 from sparsefeas.sparsepoly import evaluate, make_polynomial, parse, support, to_text
 from test_geometry import (
@@ -298,7 +298,7 @@ def _dominant_point_reference(f, j):
     return tuple(t ** wk for wk in w)
 
 
-def _sign_change_pair_reference(f):
+def _kernel_pair_reference(f):
     jp = next(i for i, t in enumerate(f.terms) if t.coefficient > 0)
     jn = next(i for i, t in enumerate(f.terms) if t.coefficient < 0)
     return _dominant_point_reference(f, jp), _dominant_point_reference(f, jn)
@@ -334,7 +334,7 @@ def test_certificates_match_kernel_rules(capsys):
         if kind == "simplex":
             rep = feas_simplex(f)
             if rep.positive_orthant == "nonempty":
-                expected, key = _sign_change_pair_reference(f), "pair"
+                expected, key = _kernel_pair_reference(f), "pair"
             elif rep.nonzero_reals == "nonempty":
                 # the pair of the polynomial flipped in the one negative
                 # coordinate, mapped back
@@ -343,7 +343,7 @@ def test_certificates_match_kernel_rules(capsys):
                     (t.exponents, t.coefficient * (-1) ** (t.exponents[i] % 2)) for t in f.terms
                 ])
                 flip = lambda x: tuple(-v if c == i else v for c, v in enumerate(x))
-                p, q = _sign_change_pair_reference(flipped)
+                p, q = _kernel_pair_reference(flipped)
                 assert rep.certificate == (flip(p), flip(q)), str(f)
                 checked["flip"] += 1
                 continue
@@ -361,6 +361,76 @@ def test_certificates_match_kernel_rules(capsys):
         assert witness == expected, str(f)
         checked[key] += 1
     assert min(checked.values()) > 50, checked
+
+
+def _sign_change_pair_reference(an, coeffs):
+    """The sign-change pair with each coordinate its own Fraction power
+    t ** w_k, t = 1/(1 + sum |c_i|), w = primitive(D e_0 - S_j)[1:]."""
+    X = an.solution
+    D = sum(X[0])
+    t = Fraction(1, 1 + sum(abs(c) for c in coeffs))
+    ends = [next(j for j, c in enumerate(coeffs) if c * e > 0) for e in (1, -1)]
+    ws = (intlattice.primitive_vector([D - X[0][j], *(-x[j] for x in X[1:])])[1:] for j in ends)
+    return tuple(tuple(t ** wk for wk in w) for w in ws)
+
+
+def _power_table_simplex(rng, k):
+    """A simplex in n = 1..6 variables: full dimensional, or one time in
+    three of dimension d < n through a 0/1 matrix; Laurent one time in
+    three; coefficients of one sign one time in two.  Exponents reach 20
+    for n <= 3 and 3 above, which keeps each |w_k| to a few thousand."""
+    n = 1 + k % 6
+    kind = k // 6 % 3
+    d = rng.randint(1, n - 1) if kind == 1 and n > 1 else n
+    hi = 20 if n <= 3 else 3
+    lo = -hi if kind == 2 else 0
+    while True:
+        M = [[rng.randint(0, 1) for _ in range(d)] for _ in range(n)] if d < n else None
+        base = [tuple(rng.randint(lo, hi) for _ in range(d)) for _ in range(d + 1)]
+        pts = base if M is None else [tuple(sum(r * b for r, b in zip(row, p)) for row in M) for p in base]
+        if len(set(pts)) == d + 1 and analyze_support(pts).rank == d + 1:
+            break
+    positive = rng.random() < 0.5
+    return make_polynomial(n, [
+        (p, rng.randint(1, 9) * (1 if positive else rng.choice((1, -1)))) for p in pts
+    ])
+
+
+def test_sign_change_pair_matches_fraction_powers():
+    # the integer power table gives the very Fractions of one t ** w_k per
+    # coordinate, in both paths of feas_simplex: mixed signs, and one sign
+    # with an odd coordinate i negated in both points
+    rng = random.Random(1919)
+    seen = collections.Counter()
+    for k in range(2400):
+        f = _power_table_simplex(rng, k)
+        an = analyze_support(support(f))
+        coeffs = [t.coefficient for t in f.terms]
+        rep = feas_simplex(f, an)
+        if min(coeffs) < 0 < max(coeffs):
+            expected = _sign_change_pair_reference(an, coeffs)
+            seen["mixed"] += 1
+        else:
+            base = f.terms[0].exponents
+            odd = [i for t in f.terms for i, (e, b) in enumerate(zip(t.exponents, base)) if (e - b) % 2]
+            if not odd:
+                continue
+            i = odd[0]
+            flipped = [c * (-1) ** (t.exponents[i] % 2) for c, t in zip(coeffs, f.terms)]
+            pair = _sign_change_pair_reference(an, flipped)
+            expected = tuple(tuple(-v if c == i else v for c, v in enumerate(x)) for x in pair)
+            seen["flip"] += 1
+        # equal normalized Fractions print alike; some pass repr's digit limit
+        assert rep.certificate == expected, str(f)
+        assert {type(v) for x in rep.certificate for v in x} == {Fraction}
+        N = 1 + sum(map(abs, coeffs))
+        values = [abs(v) for x in expected for v in x]
+        seen["negative w"] += any(v.numerator > 1 for v in values)
+        seen["w > 100"] += any(v.denominator > N**100 for v in values)
+        seen["d < n"] += an.rank <= f.n
+        seen["laurent"] += f.is_laurent
+    assert sum(seen[key] for key in ("mixed", "flip")) >= 2000, seen
+    assert min(seen.values()) > 100, seen
 
 
 def _lower_dimensional_simplex(rng):
