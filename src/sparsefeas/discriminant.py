@@ -9,6 +9,8 @@ collapses to a difference of two monomial products:
 
 so both the vanish test and the sign reduce to exactsign primitives,
 which expand the products only when both are small (at most 2^12 bits).
+Both read only m and c: the public functions take a CircuitDiscriminant,
+and the deciders pass a support's relation and coefficients directly.
 When Delta vanishes, the unique degenerate point per orthant is cut out
 by the binomial system zeta^(a_j - a_0) = (m_j c_0)/(m_0 c_j), which is
 linear in log zeta over the rows (1 | a_j) that geometry.analyze_support
@@ -42,73 +44,46 @@ class CircuitDiscriminant:
             raise PreconditionError("discriminant coefficients must be nonzero")
 
 
-def _normalized_relation(C: CircuitData):
+def _normalized_relation(m):
     """Relation with the interior point's entry negative; when there is no
     interior point, the first entry is made positive."""
-    m = list(C.relation)
-    i = interior_point(C)
-    if i is not None:
-        if m[i] > 0:
-            m = [-v for v in m]
-    elif m[0] < 0:
-        m = [-v for v in m]
-    return m
+    i = interior_point(m)
+    flip = m[i] > 0 if i is not None else m[0] < 0
+    return [-v for v in m] if flip else list(m)
 
 
-def _products(D: CircuitDiscriminant):
-    """The two monomial products (bases, exponents) whose difference is
-    Delta, positives-first permutation applied implicitly."""
-    m = _normalized_relation(D.circuit)
-    c = D.coefficients
-    left_bases, left_exps = [], []
-    right_bases, right_exps = [], []
-    for mj, cj in zip(m, c):
-        if mj > 0:
-            left_bases.append(mj)
-            left_exps.append(mj)
-            right_bases.append(cj)
-            right_exps.append(mj)
-        else:
-            left_bases.append(cj)
-            left_exps.append(-mj)
-            # the relation entry stays signed: (-|m_j|)^{|m_j|}, so the
-            # vanish locus is exactly prod (c_i/m_i)^{m_i} = 1
-            right_bases.append(mj)
-            right_exps.append(-mj)
-    return left_bases, left_exps, right_bases, right_exps
+def _products(m, c):
+    """The two monomial products whose difference is Delta for the
+    circuit relation m and coefficients c: (left bases, right bases,
+    exponents |m_j|), positives-first permutation applied implicitly.  The
+    relation entries stay signed, (-|m_j|)^{|m_j|}, so the vanish locus is
+    exactly prod (c_i/m_i)^{m_i} = 1."""
+    m = _normalized_relation(m)
+    left = [mj if mj > 0 else cj for mj, cj in zip(m, c)]
+    right = [cj if mj > 0 else mj for mj, cj in zip(m, c)]
+    return left, right, [abs(mj) for mj in m]
 
 
 def adisc_vanish(D: CircuitDiscriminant) -> bool:
     """Whether the circuit discriminant vanishes at the coefficients."""
-    lb, le, rb, re = _products(D)
-    return binomial_vanish(lb, rb, le, re)
-
-
-def _product_sign(bases, exps) -> int:
-    s = 1
-    for b, e in zip(bases, exps):
-        if b < 0 and e % 2 == 1:
-            s = -s
-    return s
+    left, right, e = _products(D.circuit.relation, D.coefficients)
+    return binomial_vanish(left, right, e, e)
 
 
 def adisc_sign(D: CircuitDiscriminant) -> int:
-    """Exact sign of the circuit discriminant at the coefficients.
+    """Exact sign of the circuit discriminant at the coefficients."""
+    return _disc_sign(D.circuit.relation, D.coefficients)
 
-    Signs of the two products are peeled off first; magnitudes go to the
-    adaptive-precision comparator.
-    """
-    lb, le, rb, re = _products(D)
-    ls = _product_sign(lb, le)
-    rs = _product_sign(rb, re)
-    labs = [abs(b) for b in lb]
-    rabs = [abs(b) for b in rb]
-    if ls > rs:
-        return 1
-    if ls < rs:
-        return -1
-    s = binomial_sign(labs, rabs, le, re)
-    return s if ls > 0 else -s
+
+def _disc_sign(m, c) -> int:
+    """adisc_sign for the circuit relation m and coefficients c.  Signs of
+    the two products are peeled off first; magnitudes go to the
+    adaptive-precision comparator."""
+    left, right, e = _products(m, c)
+    ls, rs = ((-1) ** sum(b < 0 and k % 2 for b, k in zip(bases, e)) for bases in (left, right))
+    if ls != rs:
+        return ls
+    return ls * binomial_sign([abs(b) for b in left], [abs(b) for b in right], e, e)
 
 
 @dataclass(frozen=True)
@@ -129,15 +104,14 @@ class DegeneratePoint:
     coordinates: Optional[tuple[Fraction, ...]]
 
 
-def degenerate_point(D: CircuitDiscriminant, an: SupportAnalysis | None = None) -> DegeneratePoint:
+def degenerate_point(D: CircuitDiscriminant) -> DegeneratePoint:
     """Solve for the singular point in the positive orthant.
 
-    Raises PreconditionError unless adisc_vanish(D).  ``an`` is the
-    analysis of the circuit's points in their order (built here when the
-    caller has none).  With r_j = (m_j c_0)/(m_0 c_j), a negative r_j
-    leaves no point in the orthant; otherwise zeta^(a_j - a_0) = r_j is
-    the linear system (1 | a_j) (t, log zeta) = log r_j, which ``an`` has
-    eliminated: with S the rows 1..n of its solution and P its scale D,
+    Raises PreconditionError unless adisc_vanish(D).  With r_j =
+    (m_j c_0)/(m_0 c_j), a negative r_j leaves no point in the orthant;
+    otherwise zeta^(a_j - a_0) = r_j is the linear system (1 | a_j)
+    (t, log zeta) = log r_j, which the analysis of the circuit's points
+    eliminates: with S the rows 1..n of its solution and P its scale D,
     zeta_k^P = prod_j r_j^(S_kj), free coordinates 1.  S is fixed only up
     to multiples of m, so the powers are taken as exponents on a gcd-free
     basis of the r_j, where m cancels exactly: prod_j r_j^(m_j) = 1, and
@@ -145,7 +119,8 @@ def degenerate_point(D: CircuitDiscriminant, an: SupportAnalysis | None = None) 
     """
     if not adisc_vanish(D):
         raise PreconditionError("discriminant does not vanish at these coefficients")
-    return _degenerate_point(D, an or analyze_support(D.circuit.points))
+    C = D.circuit
+    return _degenerate_point(C.relation, D.coefficients, analyze_support(C.points))
 
 
 def _root_out(rho: int, order: int):
@@ -168,9 +143,10 @@ def _root_out(rho: int, order: int):
     return rho, order
 
 
-def _degenerate_point(D: CircuitDiscriminant, an: SupportAnalysis) -> DegeneratePoint:
-    """degenerate_point for a discriminant already known to vanish."""
-    m, c = D.circuit.relation, D.coefficients
+def _degenerate_point(m, c, an: SupportAnalysis) -> DegeneratePoint:
+    """degenerate_point for the circuit relation m and coefficients c, at
+    which the discriminant is known to vanish; ``an`` is the analysis of
+    the circuit's points in their order."""
     r = [Fraction(mj * c[0], m[0] * cj) for mj, cj in zip(m, c)]
     if min(r) < 0:
         raise NoRealSolutionError("no degenerate point in the positive orthant")

@@ -16,7 +16,8 @@ or has only non-compact components.
 A circuit support of d + 2 points is decided by one rule over its single
 affine relation m, the coefficient signs on the Gale-dual facets and one
 discriminant sign, all read off one echelon elimination with primitive
-rows of the support (geometry.analyze_support).  None of these depends
+rows of the support (geometry.analyze_support, whose full-length
+relation is the only form of the circuit here).  None of these depends
 on n: when d < n, Z_+(f) is the zero set in the support's span times
 R_+^(n - d), so a nonempty class is ALL_NONCOMPACT and its certificate
 is computed in R^n.
@@ -36,18 +37,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import PreconditionError
-from .discriminant import (
-    CircuitDiscriminant,
-    _degenerate_point,
-    adisc_sign,
-)
-from .geometry import (
-    CircuitData,
-    SupportAnalysis,
-    analyze_support,
-    facet_complements,
-    interior_point,
-)
+from .discriminant import _degenerate_point, _disc_sign
+from .geometry import SupportAnalysis, analyze_support, facet_complements, interior_point
 from .intlattice import primitive_vector
 from .sparsepoly import SparsePolynomial
 
@@ -141,11 +132,12 @@ def feas_simplex(f: SparsePolynomial, an: SupportAnalysis | None = None) -> Feas
     return FeasibilityReport("empty", "empty", "empty", EMPTY)
 
 
-def _circuit_class(C: CircuitData, m, coeffs):
+def _circuit_class(m, coeffs):
     """The class of Z_+ for ``coeffs`` on d + 2 points whose one affine
-    relation is ``m`` (zero off the circuit C), in their own span of
+    relation is ``m`` (zero off their circuit), in their own span of
     dimension d, with what certifies it: the mixed facet complements
-    (step 1), the discriminant (a singular point), or None."""
+    (step 1), the coefficients at which the discriminant vanishes (a
+    singular point), or None."""
     # Step 1: the d-term facets A minus {p, q}, m_p > 0 > m_q; a face of
     # one term (d = 1) never mixes
     mixed = []
@@ -159,13 +151,13 @@ def _circuit_class(C: CircuitData, m, coeffs):
     # Step 2: a pyramid over the circuit terms
     idx = [j for j, v in enumerate(m) if v]
     if len(idx) < len(m):
-        base, _ = _circuit_class(C, [m[j] for j in idx], [coeffs[j] for j in idx])
+        base, _ = _circuit_class([m[j] for j in idx], [coeffs[j] for j in idx])
         if base in (ALL_NONCOMPACT, COMPACT_SPHERE):
             return NONEMPTY_UNCLASSIFIED, None
         return EMPTY, None
 
     # Step 3: the whole support is the circuit
-    ip = interior_point(C)
+    ip = interior_point(m)
     if ip is not None:
         signs = [1 if c > 0 else -1 for c in coeffs]
         ends = [s for k, s in enumerate(signs) if k != ip]
@@ -174,22 +166,12 @@ def _circuit_class(C: CircuitData, m, coeffs):
         if all(s != signs[ip] for s in ends):  # a caged alternation
             if signs[ip] > 0:
                 coeffs = [-c for c in coeffs]
-            D = CircuitDiscriminant(C, tuple(coeffs))
-            sign = adisc_sign(D)
+            sign = _disc_sign(m, coeffs)
             if sign == 0:
-                return SINGULAR_POINT, D
-            if sign == (1 if C.relation[ip] % 2 == 0 else -1):
+                return SINGULAR_POINT, coeffs
+            if sign == (1 if m[ip] % 2 == 0 else -1):
                 return COMPACT_SPHERE, None
     return EMPTY, None
-
-
-def _circuit_relation(an: SupportAnalysis):
-    """The circuit C of a support and its relation m over every point."""
-    C, idx = an.circuit
-    m = [0] * len(an.points)
-    for j, v in zip(idx, C.relation):
-        m[j] = v
-    return C, m
 
 
 def classify_positive(f: SparsePolynomial, an: SupportAnalysis | None = None):
@@ -232,17 +214,17 @@ def feas_circuit(f: SparsePolynomial, an: SupportAnalysis | None = None) -> Feas
     certificate, computed in R^n.
     """
     an = an or analyze_support(t.exponents for t in f.terms)
-    if not an.circuit:  # more than dim + 2 points raise here as well
+    m = an.relation  # more than dim + 2 points raise here
+    if not m:
         raise PreconditionError("circuit case needs exactly dim + 2 terms")
-    C, m = _circuit_relation(an)
-    cls, why = _circuit_class(C, m, [t.coefficient for t in f.terms])
+    cls, why = _circuit_class(m, [t.coefficient for t in f.terms])
     cert = None
     if cls == ALL_NONCOMPACT:
         X = an.solution  # values -m_q at p, m_p at q: orthogonal to m
         normals = [primitive_vector([m[p] * x[q] - m[q] * x[p] for x in X])[1:] for p, q in why]
         cert = {"facet_normal": list(min(normals))}
     elif cls == SINGULAR_POINT:
-        cert = _degenerate_point(why, an)  # adisc_sign found it zero
+        cert = _degenerate_point(m, why, an)  # _disc_sign found it zero
     if cls != EMPTY and an.rank <= f.n:
         cls = ALL_NONCOMPACT
     verdict = "empty" if cls == EMPTY else "nonempty"
@@ -277,7 +259,8 @@ def feas_real_full(f: SparsePolynomial) -> FeasibilityReport:
     an = analyze_support(t.exponents for t in f.terms)
     if len(f.terms) == an.rank:
         return feas_simplex(f, an)
-    cls, cert = classify_positive(f, an)
+    rep = feas_circuit(f, an)
+    cls, cert = rep.classification, rep.certificate
     if cls != EMPTY:
         return FeasibilityReport("nonempty", "nonempty", "nonempty", cls, cert)
     # term sets and sign vectors are bit masks over the term indices
@@ -290,7 +273,7 @@ def feas_real_full(f: SparsePolynomial) -> FeasibilityReport:
     neg = mask(lambda t: t.coefficient < 0)
     parity = [mask(lambda t: t.exponents[i] % 2) for i in range(f.n)]
     supp = [sum(1 << i for i, e in enumerate(t.exponents) if e) for t in terms]
-    C, m = _circuit_relation(an)
+    m = an.relation
     circuit = sum(1 << j for j, v in enumerate(m) if v)
 
     def has_roots(T, known_empty=None):
@@ -308,7 +291,7 @@ def feas_real_full(f: SparsePolynomial) -> FeasibilityReport:
             return bool(classes)  # a simplex has roots iff its signs mix
         on = [j for j in range(len(terms)) if T >> j & 1]
         return any(
-            _circuit_class(C, [m[j] for j in on], [
+            _circuit_class([m[j] for j in on], [
                 (-1) ** (x >> j & 1) * abs(terms[j].coefficient) for j in on
             ])[0] != EMPTY
             for x in classes
@@ -345,22 +328,14 @@ def topology_report(f: SparsePolynomial) -> dict:
         "N_non": _NON_BOUNDS.get(n, 2 * n + 2),
     }
     meets_interior = False
-    if an.rank == n + 1 and an.circuit and len(an.circuit[1]) == len(f.terms):
-        meets_interior = interior_point(an.circuit[0]) is not None
-    n_comp = {
-        EMPTY: 0,
-        ALL_NONCOMPACT: 0,
-        NONEMPTY_UNCLASSIFIED: 0,
-        POINT_MULT_1: 1,
-        SINGULAR_POINT: 1,
-        COMPACT_SPHERE: 1,
-    }[cls]
+    if an.rank == n + 1 and an.relation and all(an.relation):
+        meets_interior = interior_point(an.relation) is not None
     report = {
         "n": n,
         "classification": cls,
         "bounds": bounds,
         "support_meets_hull_interior": meets_interior,
-        "N_comp": n_comp,
+        "N_comp": int(cls in (POINT_MULT_1, SINGULAR_POINT, COMPACT_SPHERE)),
     }
     if n == 1:
         counts = {

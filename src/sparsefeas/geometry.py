@@ -5,7 +5,11 @@ elimination with primitive rows of the rows (1 | a_j) per support.
 A *circuit* is an affinely dependent point set every proper subset of
 which is affinely independent.  Such a set carries a unique (up to sign)
 integer affine relation m with all entries nonzero, and the sign pattern
-of m encodes the Radon partition of the set.
+of m encodes the Radon partition of the set.  A support of at most
+dim + 2 points holds at most one circuit; below the public API it is
+carried only as the support's one affine relation, one entry per point
+and zero off the circuit, from which the interior point and the facets
+are read.
 """
 
 from __future__ import annotations
@@ -43,14 +47,6 @@ class CircuitData:
             if sum(mi * p[k] for mi, p in zip(m, pts)) != 0:
                 raise NotACircuitError("relation does not annihilate the points")
 
-    @property
-    def positive_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, v in enumerate(self.relation) if v > 0)
-
-    @property
-    def negative_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, v in enumerate(self.relation) if v < 0)
-
 
 @dataclass(frozen=True)
 class SupportAnalysis:
@@ -79,8 +75,10 @@ class SupportAnalysis:
         return echelon_solution(self.pivots, self.rows, len(self.points[0]) + 1)
 
     @cached_property
-    def circuit(self):
-        """find_circuit's answer for the points."""
+    def relation(self):
+        """The one primitive affine relation m of the points, one entry
+        per point, zero off their circuit and with its first nonzero
+        entry positive; None when the points are affinely independent."""
         # the kernel has dimension #A - dim - 1, one more than the excess
         if len(self.kernel) > 1:
             raise PreconditionError(
@@ -89,12 +87,7 @@ class SupportAnalysis:
         if not self.kernel:
             return None
         m = self.kernel[0]
-        idx = [i for i, v in enumerate(m) if v != 0]
-        sub = PointSet(tuple(self.points[i] for i in idx))
-        rel = tuple(m[i] for i in idx)
-        if rel[0] < 0:
-            rel = tuple(-v for v in rel)
-        return CircuitData(sub, rel), idx
+        return m if next(v for v in m if v) > 0 else [-v for v in m]
 
 
 def analyze_support(A) -> SupportAnalysis:
@@ -117,18 +110,23 @@ def find_circuit(A: PointSet):
     into A) for the unique minimally dependent subset, or None when A is
     affinely independent.
     """
-    return analyze_support(A).circuit
+    an = analyze_support(A)
+    m = an.relation
+    if m is None:
+        return None
+    idx = [i for i, v in enumerate(m) if v]
+    return CircuitData(PointSet(tuple(an.points[i] for i in idx)), tuple(m[i] for i in idx)), idx
 
 
-def interior_point(C: CircuitData):
+def interior_point(relation):
     """Index of the circuit point interior to the hull of the others.
 
-    By the Radon sign rule this is the coordinate of the relation whose
-    sign no other coordinate shares; None when both sign classes have at
-    least two members.
+    By the Radon sign rule this is the coordinate of the affine relation
+    whose sign no other coordinate shares, zero entries ignored; None
+    when both sign classes have at least two members.
     """
-    pos = C.positive_indices
-    neg = C.negative_indices
+    pos = [i for i, v in enumerate(relation) if v > 0]
+    neg = [i for i, v in enumerate(relation) if v < 0]
     if len(pos) == 1:
         return pos[0]
     if len(neg) == 1:

@@ -137,10 +137,11 @@ def sat3_to_system(phi: Sat3Formula) -> PolySystem:
     return PolySystem(tuple(polys))
 
 
-# the output is dense in all original and fresh variables; this is the
-# entry count the reduce sat3 guard allows (one 300-term univariate
-# polynomial gives 1,338,624 entries, 400 terms 2,384,824)
-_SHOR_MAX_ENTRIES = 2 * 10**6
+# the output is dense in all its variables; this is the entry count the
+# reduce sat3 guard allows, and the bound of reduce shor (one 300-term
+# univariate polynomial gives 1,338,624 entries, 400 terms 2,384,824) and
+# of reduce sos (400 terms in 50 variables: 4,010,000, 13.6 MB of JSON)
+_MAX_ENTRIES = 2 * 10**6
 
 
 def shor_normal_form(F: PolySystem) -> PolySystem:
@@ -200,15 +201,25 @@ def shor_normal_form(F: PolySystem) -> PolySystem:
         rewritten.append({w: 1, ml: cl})
     output = rewritten + equations
     entries = total * sum(len(d) for d in output)
-    if entries > _SHOR_MAX_ENTRIES:
+    if entries > _MAX_ENTRIES:
         raise ScaleLimitError(
-            f"{entries} exponent entries exceed the reduce shor guard of {_SHOR_MAX_ENTRIES}"
+            f"{entries} exponent entries exceed the reduce shor guard of {_MAX_ENTRIES}"
         )
     return PolySystem(tuple(_poly(d, total) for d in output))
 
 
 def sos_aggregate(F: PolySystem) -> SparsePolynomial:
-    """Sum of squares of the system: one polynomial, same real zero set."""
+    """Sum of squares of the system: one polynomial, same real zero set.
+
+    The square of m terms has at most m(m + 1)/2, so the dense output has
+    at most n * sum m_i(m_i + 1)/2 exponent entries; above 2 * 10^6 that
+    bound raises ScaleLimitError before any product is taken.
+    """
+    bound = F.n * sum(len(p.terms) * (len(p.terms) + 1) // 2 for p in F.polynomials)
+    if bound > _MAX_ENTRIES:
+        raise ScaleLimitError(
+            f"up to {bound} exponent entries exceed the reduce sos guard of {_MAX_ENTRIES}"
+        )
     acc: dict = {}
     for p in F.polynomials:
         d = _from(p)

@@ -267,6 +267,6 @@ def from_json(obj) -> SparsePolynomial:
             if not isinstance(t["a"], list):
                 raise TypeError("exponents are not an array")
             pairs.append(([_json_int(e) for e in t["a"]], _json_int(t["c"], text=True)))
+        return make_polynomial(n, pairs)
     except (KeyError, TypeError, ValueError) as exc:
         raise PreconditionError(f"malformed polynomial JSON ({exc})") from None
-    return make_polynomial(n, pairs)

@@ -275,6 +275,20 @@ def test_reduce_shor_size_guard(tmp_path, capsys, monkeypatch):
     assert "reduce shor guard" in captured.err
 
 
+def test_reduce_sos_size_guard(tmp_path, capsys, monkeypatch):
+    # 400 terms in 50 variables bound 50 x 80,200 = 4,010,000 entries
+    monkeypatch.setattr("sparsefeas.reductions._mul", lambda a, b: pytest.fail("product taken"))
+    src = tmp_path / "system.json"
+    src.write_text(json.dumps({"polynomials": [{"n": 50, "terms": [
+        {"c": "1", "a": [(k // 50 + 1) * (i == k % 50) for i in range(50)]} for k in range(400)
+    ]}]}))
+    code = run(["reduce", "sos", "--file", str(src)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "reduce sos guard" in captured.err
+
+
 def test_variable_index_guard_is_one_error_line(capsys):
     code = run(["feas", "--set", "positive", "--expr", "x100000000 + 1"])
     captured = capsys.readouterr()

@@ -172,9 +172,9 @@ def _vanishing_circuit(rng, bases=(2, 3)):
         if len(set(pts)) < n + 2:
             continue
         an = analyze_support(pts)
-        if an.rank == n + 1 and len(an.circuit[1]) == n + 2:
+        if an.rank == n + 1 and all(an.relation):
             break
-    m = an.circuit[0].relation
+    m = an.relation
     logs = []
     for _ in range(2):
         u = [0] * len(pts)
@@ -188,7 +188,7 @@ def _vanishing_circuit(rng, bases=(2, 3)):
     even = [j for j, mj in enumerate(m) if mj % 2 == 0]
     if even and rng.random() < 0.25:
         c[rng.choice(even)] *= -1
-    return CircuitDiscriminant(an.circuit[0], tuple(c))
+    return CircuitDiscriminant(find_circuit(pts)[0], tuple(c))
 
 
 def test_degenerate_point_matches_smith_reference():

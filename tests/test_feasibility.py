@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from sparsefeas import intlattice
+from sparsefeas import geometry, intlattice
 from sparsefeas.cli import run
 from sparsefeas.errors import PreconditionError
 from sparsefeas.feasibility import (
@@ -222,11 +222,16 @@ def test_circuit_lattice_call_budget(monkeypatch):
     (classify_positive, "1 + x1^3 + x2^3 - 3*x1*x2"),  # singular point
 ])
 def test_one_hermite_factorization_per_support(monkeypatch, call, text):
-    # one echelon elimination per support, which replaced the Hermite one
+    # one echelon elimination per support, which replaced the Hermite one;
+    # the deciders read its relation and build no CircuitData
     f = parse(text)
     calls = _count_echelon_calls(monkeypatch)
+    circuits = []
+    check = geometry.CircuitData.__post_init__
+    monkeypatch.setattr(geometry.CircuitData, "__post_init__", lambda C: circuits.append(C) or check(C))
     call(f)
     assert len(calls) == 1
+    assert circuits == []
 
 
 def test_degenerate_point_has_small_exact_coordinates():

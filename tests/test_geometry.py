@@ -143,7 +143,7 @@ def test_find_circuit_preconditions():
 def test_interior_point_is_unique_sign():
     pts = [(0, 0), (4, 0), (0, 4), (1, 1)]
     circuit, idx = find_circuit(pts)
-    inner = interior_point(circuit)
+    inner = interior_point(circuit.relation)
     assert pts[idx[inner]] == (1, 1)
 
 
@@ -152,7 +152,7 @@ def test_interior_point_none_for_degenerate_circuit():
     # orientations have two entries, but the unique-sign rule needs one
     pts = [(0, 0), (1, 1), (2, 0), (1, -1)]
     circuit, _ = find_circuit(pts)
-    assert interior_point(circuit) is None
+    assert interior_point(circuit.relation) is None
 
 
 def _facet_values(m, out):

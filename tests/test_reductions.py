@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from sparsefeas.errors import PreconditionError
+from sparsefeas.errors import PreconditionError, ScaleLimitError
 from sparsefeas.reductions import (
     PolySystem,
     Sat3Formula,
@@ -166,6 +166,22 @@ def test_sos_aggregate():
     assert g == parse("2*x1^2 + 2")
     # nonnegative everywhere, zero exactly on common roots (here: none)
     assert evaluate(g, [Fraction(0)]) == 2
+
+
+def _linear_form(n, m):
+    """x1 + ... + xm in n variables: its square has m(m + 1)/2 terms."""
+    return make_polynomial(n, [([int(i == k) for i in range(n)], 1) for k in range(m)])
+
+
+def test_sos_aggregate_size_guard(monkeypatch):
+    # 62 terms in 1,000 variables: 1,953 output terms, 1,953,000 dense
+    # exponent entries, under the guard of 2 * 10^6; 63 terms bound
+    # 2,016,000 entries and are refused before any product
+    g = sos_aggregate(PolySystem((_linear_form(1000, 62),)))
+    assert g.n * len(g.terms) == 1_953_000
+    monkeypatch.setattr("sparsefeas.reductions._mul", lambda a, b: pytest.fail("product taken"))
+    with pytest.raises(ScaleLimitError, match="2016000 exponent entries exceed the reduce sos guard"):
+        sos_aggregate(PolySystem((_linear_form(1000, 63),)))
 
 
 def test_sos_aggregate_shares_roots():

@@ -90,6 +90,8 @@ def test_evaluate_laurent_at_zero_fails():
     "5",
     {"n": 2, "terms": [{"c": "1", "a": "12"}, {"c": 2.9, "a": [0, 0]}]},
     {"n": 2.7, "terms": [{"c": True, "a": [1, 0]}]},
+    '{"n":0,"terms":[{"c":"1","a":[]}]}',
+    {"n": 2, "terms": [{"c": "1", "a": [1]}]},
 ])
 def test_from_json_rejects_malformed_shapes(doc):
     with pytest.raises(PreconditionError, match="malformed polynomial JSON"):
