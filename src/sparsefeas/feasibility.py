@@ -26,8 +26,9 @@ feas_simplex's sign and parity rule decides all three sets of a simplex.
 For a circuit, Z* and Z_R reduce to positive-orthant questions on the
 strata of R^n (a set of zero coordinates and an orthant of the rest).  A
 stratum matters only through the terms it keeps and their signs, so
-feas_real_full visits the closed term subsets and the F_2 classes of term
-signs, at most 2^#terms of each, rather than the 3^n strata.
+feas_real_full checks at most 2 #terms + 2 closed term sets, each by F_2
+tests on its sign generators and at most 2^4 sign classes, rather than
+the 3^n strata.
 """
 
 from __future__ import annotations
@@ -233,7 +234,7 @@ def feas_circuit(f: SparsePolynomial, an: SupportAnalysis | None = None) -> Feas
 
 def feas_real_full(f: SparsePolynomial) -> FeasibilityReport:
     """Decide Z_+, Z*, and Z_R: a simplex by feas_simplex, a circuit over
-    term subsets and F_2 sign classes.
+    a few closed term sets and F_2 sign classes.
 
     Requires polynomial (nonnegative) exponents.  feas_simplex's rule is
     complete on a simplex: with one coefficient sign and all exponent
@@ -241,18 +242,28 @@ def feas_real_full(f: SparsePolynomial) -> FeasibilityReport:
     so f keeps that sign on all of R^n; without a constant term the
     origin is a root.
 
-    For a circuit, a stratum (some coordinates zero, the rest of fixed
+    For a circuit C, a stratum (some coordinates zero, the rest of fixed
     sign) leaves the terms T whose support avoids the zero coordinates,
-    with term signs sign(c_j) (-1)^<delta, a_j mod 2>: an affine map over
-    F_2 of the orthant delta.  The strata's sets T are the closed term
-    subsets, those holding every term supported inside their own union of
-    supports.  An empty T (no constant term) is a root at the origin.  A
-    proper subset T without the circuit is affinely independent, so it has
-    roots exactly when some reachable sign vector is mixed.  A T holding
-    the circuit has the one relation m restricted to T, so the circuit
-    rule decides it from that and the signed |c_j|, once per reachable
-    sign vector up to negation, without building a polynomial.  Z* is the
-    question on T = all terms; Z_R adds the proper closed T.
+    with term signs sign(c_j) (-1)^<delta, a_j mod 2>: over the orthants
+    delta, the affine F_2 space that the generators of T span, neg & T
+    plus the parity columns of T.  Z* is the question on T = all terms;
+    Z_R adds the closed T = cl(S), the terms supported inside the union
+    of the supports of S, of which cl({}), cl({j}), cl(C) and
+    cl(C + {j}) suffice.  With no constant term cl({}) is empty, a root
+    at the origin; otherwise every closed T holds the constant term 0.
+    A simplex T mixed in sign vector x has some x_j != x_0, still mixed
+    on cl({j}).  A T holding C that fires in x has a mixed pair facet
+    (C - {p, q}) + (T - C): x is mixed on C - {p, q} (cl(C) fires) or an
+    apex z in T - C differs from it (cl(C + {z}) fires); or T fires
+    through its base class, which cl(C) shares.
+
+    The space is nonconstant on a term set exactly when a generator is,
+    so has_roots tests generators before it lists a span: with each one
+    0 or T, T has one sign; a T without C is a simplex, mixed in some x;
+    a generator nonconstant on a pair facet T - {p, q} fires the circuit
+    rule's step 1.  Otherwise every generator is constant on every pair
+    facet, which leaves at most 2^4 sign vectors, and the circuit rule
+    decides each from m restricted to T and the signed |c_j|.
     """
     if f.is_laurent:
         raise PreconditionError("real-set dispatch requires polynomial exponents")
@@ -276,32 +287,37 @@ def feas_real_full(f: SparsePolynomial) -> FeasibilityReport:
     m = an.relation
     circuit = sum(1 << j for j, v in enumerate(m) if v)
 
-    def has_roots(T, known_empty=None):
-        """Whether the terms T have a root in some open orthant, given the
-        class (a sign vector up to negation) of one known to be empty."""
+    def has_roots(T):
+        """Whether the terms T have a root in some open orthant."""
         if not T:
             return True
-        flips = {0}  # the F_2 span of the parity columns on T
-        for col in parity:
-            if col & T not in flips:
-                flips |= {v ^ (col & T) for v in flips}
-        classes = {min(x, x ^ T) for x in ((neg ^ v) & T for v in flips)}
-        classes -= {0, known_empty}  # class 0: one sign throughout, no root
+        flips = {col & T for col in parity}
+        gens = flips | {neg & T}
+        if gens <= {0, T}:
+            return False  # one sign throughout
         if circuit & T != circuit:
-            return bool(classes)  # a simplex has roots iff its signs mix
+            return True  # a simplex has roots iff its signs mix
         on = [j for j in range(len(terms)) if T >> j & 1]
+        mT = [m[j] for j in on]
+        facets = [T & ~(1 << on[p] | 1 << on[q]) for p, q in facet_complements(mT)]
+        if any(g & F not in (0, F) for g in gens for F in facets):
+            return True  # the circuit rule's step 1
+        span = {0}
+        for col in flips:
+            if col not in span:
+                span |= {v ^ col for v in span}
+        classes = {min(x, x ^ T) for x in ((neg & T) ^ v for v in span)} - {0}
         return any(
-            _circuit_class([m[j] for j in on], [
+            _circuit_class(mT, [
                 (-1) ** (x >> j & 1) * abs(terms[j].coefficient) for j in on
             ])[0] != EMPTY
             for x in classes
         )
 
-    if has_roots(full, known_empty=min(neg, neg ^ full)):
+    if has_roots(full):
         return FeasibilityReport("empty", "nonempty", "nonempty", cls, cert)
-    unions = {0}
-    for s in supp:
-        unions |= {u | s for u in unions}
+    u_C = sum(1 << i for i in range(f.n) if any(v and t.exponents[i] for v, t in zip(m, terms)))
+    unions = {u | s for u in (0, u_C) for s in (0, *supp)}
     closed = (sum(1 << j for j, s in enumerate(supp) if not s & ~u) for u in unions)
     real = any(has_roots(T) for T in closed if T != full)
     return FeasibilityReport(

@@ -327,8 +327,8 @@ def test_criterion_9_degenerate_points():
 
 
 def test_criterion_10_real_dispatch_n10():
-    # 3^10 sign/zero strata, but only 2^10 closed term subsets for the sum
-    # of squares and two sign classes for the product
+    # 3^10 sign/zero strata, but both supports are simplices, decided by
+    # feas_simplex's sign and parity rule alone
     squares = make_polynomial(10, [((0,) * 10, 1)] + [
         (tuple(2 * (k == i) for k in range(10)), 1) for i in range(10)
     ])

@@ -14,7 +14,7 @@ from sparsefeas.discriminant import (
     degenerate_point,
 )
 from sparsefeas.errors import NoRealSolutionError, PreconditionError
-from sparsefeas.geometry import analyze_support, find_circuit
+from sparsefeas.geometry import CircuitData, analyze_support, find_circuit
 from sparsefeas.intlattice import smith_factor
 from sparsefeas.oracle import multiple_root_count
 from sparsefeas.sparsepoly import evaluate, make_polynomial, parse, support
@@ -89,6 +89,21 @@ def test_no_positive_degenerate_point():
     assert adisc_vanish(d)
     with pytest.raises(NoRealSolutionError):
         degenerate_point(d)
+
+
+def test_unit_square_relation_sign_is_normalized():
+    # the square has no interior point, so the relation is normalized by
+    # its first entry: either sign of it gives the same discriminant
+    square = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    circuit, idx = find_circuit(square)
+    assert (circuit.relation, idx) == ((1, -1, -1, 1), [0, 1, 2, 3])
+    negated = CircuitData(circuit.points, tuple(-v for v in circuit.relation))
+    signs = set()
+    for c in [(1, 2, 3, 6), (1, 1, 1, 2), (2, 1, 1, 1), (-1, 2, 3, 4), (3, -1, 2, -5), (-2, -3, 1, 1)]:
+        D, E = CircuitDiscriminant(circuit, c), CircuitDiscriminant(negated, c)
+        assert (adisc_sign(E), adisc_vanish(E)) == (adisc_sign(D), adisc_vanish(D)), c
+        signs.add(adisc_sign(D))
+    assert signs == {-1, 0, 1}
 
 
 def test_rejects_zero_coefficient():

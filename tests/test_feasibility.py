@@ -21,6 +21,7 @@ from sparsefeas.feasibility import (
     NONEMPTY_UNCLASSIFIED,
     POINT_MULT_1,
     SINGULAR_POINT,
+    _circuit_class,
     classify_positive,
     feas_circuit,
     feas_real_full,
@@ -278,8 +279,8 @@ def test_singular_point_decides_vanishing_once(monkeypatch):
 
 
 def test_real_dispatch_one_factorization_over_closed_subsets(monkeypatch):
-    # the circuit lies on the x1 axis and every sign class is mixed, so
-    # each of the 512 closed subsets holding it asks the circuit rule
+    # the circuit lies on the x1 axis and its sign class is mixed, so the
+    # circuit rule decides it and each pyramid over it with one x_j^2
     f = parse("1 - x1^2 + x1^4 + " + " + ".join(f"x{i}^2" for i in range(2, 11)))
     calls = _count_echelon_calls(monkeypatch)
     rep = feas_real_full(f)
@@ -634,6 +635,16 @@ def test_real_full_axis_root_only():
     assert r.all_reals == "nonempty"
 
 
+@pytest.mark.parametrize("text", ["1 - 2*x1 + x1^2 + x2^2", "1 + x1^6 + x2^6 - 3*x1^2*x2^2 + x3^2"])
+def test_real_full_root_only_at_singular_stratum(text):
+    # f >= 0 vanishes only where the apex coordinate is 0, at the singular
+    # point of the circuit: the closed set of the circuit alone has it
+    f = parse(text)
+    rep = feas_real_full(f)
+    assert (rep.positive_orthant, rep.nonzero_reals, rep.all_reals) == ("empty", "empty", "nonempty")
+    assert rep == _strata_reference(f) == _closed_subsets_reference(f)
+
+
 def test_real_full_grid_agreement():
     rng = random.Random(123)
     box = [(Fraction(-3), Fraction(3)), (Fraction(-3), Fraction(3))]
@@ -689,6 +700,57 @@ def _strata_reference(f):
                 nonzero = "nonempty"
     positive = "empty" if pos_cls == EMPTY else "nonempty"
     return FeasibilityReport(positive, nonzero, real, pos_cls, pos_cert)
+
+
+def _closed_subsets_reference(f):
+    """The closed-subset dispatch: every closed term set, one per union of
+    term supports, and on each the whole F_2 span of the parity columns
+    (up to 2^#terms sets and 2^n sign vectors)."""
+    an = analyze_support(t.exponents for t in f.terms)
+    if len(f.terms) == an.rank:
+        return feas_simplex(f, an)
+    rep = feas_circuit(f, an)
+    cls, cert = rep.classification, rep.certificate
+    if cls != EMPTY:
+        return FeasibilityReport("nonempty", "nonempty", "nonempty", cls, cert)
+    terms = f.terms
+    full = (1 << len(terms)) - 1
+
+    def mask(pred):
+        return sum(1 << j for j, t in enumerate(terms) if pred(t))
+
+    neg = mask(lambda t: t.coefficient < 0)
+    parity = [mask(lambda t: t.exponents[i] % 2) for i in range(f.n)]
+    supp = [sum(1 << i for i, e in enumerate(t.exponents) if e) for t in terms]
+    m = an.relation
+    circuit = sum(1 << j for j, v in enumerate(m) if v)
+
+    def has_roots(T):
+        if not T:
+            return True
+        flips = {0}
+        for col in parity:
+            if col & T not in flips:
+                flips |= {v ^ (col & T) for v in flips}
+        classes = {min(x, x ^ T) for x in ((neg ^ v) & T for v in flips)} - {0}
+        if circuit & T != circuit:
+            return bool(classes)
+        on = [j for j in range(len(terms)) if T >> j & 1]
+        return any(
+            _circuit_class([m[j] for j in on], [
+                (-1) ** (x >> j & 1) * abs(terms[j].coefficient) for j in on
+            ])[0] != EMPTY
+            for x in classes
+        )
+
+    unions = {0}
+    for s in supp:
+        unions |= {u | s for u in unions}
+    closed = (sum(1 << j for j, s in enumerate(supp) if not s & ~u) for u in unions)
+    nonzero = has_roots(full)
+    real = nonzero or any(has_roots(T) for T in closed if T != full)
+    verdict = {True: "nonempty", False: "empty"}
+    return FeasibilityReport("empty", verdict[nonzero], verdict[real], cls, cert)
 
 
 def _random_real_instance(rng, n):
@@ -785,8 +847,41 @@ def test_real_full_matches_strata_enumeration():
         f = _random_real_instance(rng, 1 + k % 5)
         rep = feas_real_full(f)
         assert rep == _strata_reference(f), str(f)
+        assert rep == _closed_subsets_reference(f), str(f)
         seen.add((rep.positive_orthant, rep.nonzero_reals, rep.all_reals))
     assert len(seen) == 4  # every verdict combination occurs
+
+
+def test_real_full_matches_closed_subsets_beyond_strata():
+    # n = 7..10, where the 3^n strata are out of reach; circuits show
+    # every verdict combination, nonempty only in R^n among them
+    rng = random.Random(710)
+    seen = collections.Counter()
+    for k in range(400):
+        f = _random_real_instance(rng, 7 + k % 4)
+        rep = feas_real_full(f)
+        assert rep == _closed_subsets_reference(f), str(f)
+        if len(f.terms) > analyze_support(t.exponents for t in f.terms).rank:
+            seen[rep.positive_orthant, rep.nonzero_reals, rep.all_reals] += 1
+    assert len(seen) == 4 and min(seen.values()) >= 10, seen
+
+
+@pytest.mark.parametrize("n", [30, 40])
+def test_real_dispatch_probes_polynomial_in_n(n):
+    # the closed-set and sign-class enumerations grew as 2^n on these
+    probes = [
+        ("1 - x1^2 + x1^4 + " + " + ".join(f"x{i}^2" for i in range(2, n + 1)), ("empty",) * 3),
+        ("2 + " + " + ".join(f"x{i}^2" for i in range(1, n + 1)) + " + x1*x2", ("empty",) * 3),
+        ("1 + " + " + ".join(f"x{i}" for i in range(1, n + 1)) + " + x1*x2",
+         ("empty", "nonempty", "nonempty")),
+    ]
+    for text, expected in probes:
+        f = parse(text)
+        start = time.monotonic()
+        rep = feas_real_full(f)
+        elapsed = time.monotonic() - start
+        assert (rep.positive_orthant, rep.nonzero_reals, rep.all_reals) == expected, text
+        assert elapsed < 1, f"{text}: {elapsed:.2f}s exceeds 1s budget"
 
 
 def test_topology_report_sphere():
@@ -795,6 +890,13 @@ def test_topology_report_sphere():
     assert rep["N_comp"] == 1
     assert rep["bounds"] == {"N_comp": 1, "N_non": 2}
     assert rep["support_meets_hull_interior"] is True
+
+
+def test_topology_report_pyramid_misses_hull_interior():
+    # a full-dimensional pyramid over the segment 1, x1, x1^2: its apex
+    # x2 has relation entry 0, so no support point is interior to the hull
+    rep = topology_report(parse("1 + x1 + x1^2 + x2"))
+    assert rep["support_meets_hull_interior"] is False
 
 
 def test_topology_report_empty_has_no_certificate():
