@@ -105,11 +105,7 @@ def _cmd_feas(args) -> int:
 
 
 def _parse_points(text: str):
-    chunks = text.split(";")
-    if len(chunks) == 1:
-        vals = [int(v) for v in text.split(",")]
-        return PointSet(tuple((v,) for v in vals))
-    pts = tuple(tuple(int(v) for v in c.split(",")) for c in chunks)
+    pts = tuple(tuple(int(v) for v in c.split(",")) for c in text.split(";"))
     if len({len(p) for p in pts}) != 1:
         raise SparseFeasError("support points have mixed dimensions")
     return PointSet(pts)

@@ -23,12 +23,11 @@ R_+^(n - d), so a nonempty class is ALL_NONCOMPACT and its certificate
 is computed in R^n.
 
 feas_simplex's sign and parity rule decides all three sets of a simplex.
-For a circuit, Z* and Z_R reduce to positive-orthant questions on the
-strata of R^n (a set of zero coordinates and an orthant of the rest).  A
-stratum matters only through the terms it keeps and their signs, so
-feas_real_full checks at most 2 #terms + 2 closed term sets, each by F_2
-tests on its sign generators and at most 2^4 sign classes, rather than
-the 3^n strata.
+For a circuit, Z* is the positive-orthant question on every orthant of
+R^n, decided by F_2 tests on the terms' sign generators and at most 2^4
+sign classes rather than the 2^n orthants.  Once Z* is empty, Z_R has
+only two more places to look: the origin and the singular point of the
+circuit's own stratum.
 """
 
 from __future__ import annotations
@@ -233,8 +232,8 @@ def feas_circuit(f: SparsePolynomial, an: SupportAnalysis | None = None) -> Feas
 
 
 def feas_real_full(f: SparsePolynomial) -> FeasibilityReport:
-    """Decide Z_+, Z*, and Z_R: a simplex by feas_simplex, a circuit over
-    a few closed term sets and F_2 sign classes.
+    """Decide Z_+, Z*, and Z_R: a simplex by feas_simplex, a circuit by
+    F_2 sign classes on all its terms and on one closed term set.
 
     Requires polynomial (nonnegative) exponents.  feas_simplex's rule is
     complete on a simplex: with one coefficient sign and all exponent
@@ -242,28 +241,25 @@ def feas_real_full(f: SparsePolynomial) -> FeasibilityReport:
     so f keeps that sign on all of R^n; without a constant term the
     origin is a root.
 
-    For a circuit C, a stratum (some coordinates zero, the rest of fixed
-    sign) leaves the terms T whose support avoids the zero coordinates,
-    with term signs sign(c_j) (-1)^<delta, a_j mod 2>: over the orthants
-    delta, the affine F_2 space that the generators of T span, neg & T
-    plus the parity columns of T.  Z* is the question on T = all terms;
-    Z_R adds the closed T = cl(S), the terms supported inside the union
-    of the supports of S, of which cl({}), cl({j}), cl(C) and
-    cl(C + {j}) suffice.  With no constant term cl({}) is empty, a root
-    at the origin; otherwise every closed T holds the constant term 0.
-    A simplex T mixed in sign vector x has some x_j != x_0, still mixed
-    on cl({j}).  A T holding C that fires in x has a mixed pair facet
-    (C - {p, q}) + (T - C): x is mixed on C - {p, q} (cl(C) fires) or an
-    apex z in T - C differs from it (cl(C + {z}) fires); or T fires
-    through its base class, which cl(C) shares.
+    For a circuit C, an orthant delta of (R*)^n gives the terms the signs
+    sign(c_j) (-1)^<delta, a_j mod 2>: over all delta, the affine F_2
+    space that neg plus the parity columns span.  The space is nonconstant
+    on a term set T exactly when a generator is, so has_roots tests
+    generators before it lists a span: with each one 0 or T, T has one
+    sign; a generator nonconstant on a pair facet T - {p, q} fires the
+    circuit rule's step 1.  Otherwise every generator is constant on every
+    pair facet, which leaves at most 2^4 sign vectors, and the circuit
+    rule decides each from m restricted to T and the signed |c_j|.
 
-    The space is nonconstant on a term set exactly when a generator is,
-    so has_roots tests generators before it lists a span: with each one
-    0 or T, T has one sign; a T without C is a simplex, mixed in some x;
-    a generator nonconstant on a pair facet T - {p, q} fires the circuit
-    rule's step 1.  Otherwise every generator is constant on every pair
-    facet, which leaves at most 2^4 sign vectors, and the circuit rule
-    decides each from m restricted to T and the signed |c_j|.
+    Z_R adds the strata with some coordinates zero, each restricting f to
+    the closed term set T of the terms whose support avoids them.  Once
+    Z* is empty, a restriction that took both signs on its stratum would
+    make f take both signs in one nearby open orthant, so a restriction
+    with a root there keeps one sign.  A simplex and every nonempty class
+    but SINGULAR_POINT change sign, and SINGULAR_POINT needs T = C; a
+    closed T that is C is cl(C), the terms supported inside the union of
+    C's supports.  The only other candidate is the origin, T = cl({}), a
+    root exactly when no term is constant.
     """
     if f.is_laurent:
         raise PreconditionError("real-set dispatch requires polynomial exponents")
@@ -283,20 +279,15 @@ def feas_real_full(f: SparsePolynomial) -> FeasibilityReport:
 
     neg = mask(lambda t: t.coefficient < 0)
     parity = [mask(lambda t: t.exponents[i] % 2) for i in range(f.n)]
-    supp = [sum(1 << i for i, e in enumerate(t.exponents) if e) for t in terms]
     m = an.relation
-    circuit = sum(1 << j for j, v in enumerate(m) if v)
 
     def has_roots(T):
-        """Whether the terms T have a root in some open orthant."""
-        if not T:
-            return True
+        """Whether the terms T, which hold C, have a root in some open
+        orthant."""
         flips = {col & T for col in parity}
         gens = flips | {neg & T}
         if gens <= {0, T}:
             return False  # one sign throughout
-        if circuit & T != circuit:
-            return True  # a simplex has roots iff its signs mix
         on = [j for j in range(len(terms)) if T >> j & 1]
         mT = [m[j] for j in on]
         facets = [T & ~(1 << on[p] | 1 << on[q]) for p, q in facet_complements(mT)]
@@ -316,10 +307,10 @@ def feas_real_full(f: SparsePolynomial) -> FeasibilityReport:
 
     if has_roots(full):
         return FeasibilityReport("empty", "nonempty", "nonempty", cls, cert)
-    u_C = sum(1 << i for i in range(f.n) if any(v and t.exponents[i] for v, t in zip(m, terms)))
-    unions = {u | s for u in (0, u_C) for s in (0, *supp)}
-    closed = (sum(1 << j for j, s in enumerate(supp) if not s & ~u) for u in unions)
-    real = any(has_roots(T) for T in closed if T != full)
+    u_C = {i for v, t in zip(m, terms) if v for i, e in enumerate(t.exponents) if e}
+    cl_C = mask(lambda t: all(i in u_C for i, e in enumerate(t.exponents) if e))
+    # the origin, cl({}), or the circuit's own stratum, cl(C)
+    real = all(any(t.exponents) for t in terms) or (cl_C != full and has_roots(cl_C))
     return FeasibilityReport(
         "empty", "empty", "nonempty" if real else "empty", cls, cert
     )

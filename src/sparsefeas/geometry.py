@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 
 from .errors import NotACircuitError, PreconditionError
 from .intlattice import echelon_rows, echelon_solution
@@ -42,6 +43,8 @@ class CircuitData:
             raise NotACircuitError("relation has a zero entry")
         if sum(m) != 0:
             raise NotACircuitError("relation entries do not sum to zero")
+        if gcd(*m) != 1:
+            raise NotACircuitError("relation is not primitive")
         d = len(pts[0])
         for k in range(d):
             if sum(mi * p[k] for mi, p in zip(m, pts)) != 0:

@@ -14,7 +14,7 @@ from itertools import product
 from math import gcd, prod
 
 from .errors import PreconditionError, ScaleLimitError
-from .sparsepoly import SparsePolynomial, evaluate
+from .sparsepoly import SparsePolynomial, evaluate, make_polynomial
 
 # ---------------------------------------------------------------------------
 # dense integer univariate polynomial helpers (coefficient lists, low first)
@@ -152,9 +152,7 @@ def sturm_count(f: SparsePolynomial, lower=None, upper=None) -> int:
     """
     p = _primitive(_trim(_dense(f)))
     if len(p) <= 1:
-        if not p or p[0] != 0:
-            return 0
-        raise PreconditionError("zero polynomial")
+        return 0
     g = _poly_gcd(p, _deriv(p))
     sf = _exact_div(p, g) if len(g) > 1 else p
     extra = 0
@@ -187,8 +185,6 @@ def multiple_root_count(f: SparsePolynomial, lower=None, upper=None) -> int:
     g = _poly_gcd(p, _deriv(p))
     if len(g) <= 1:
         return 0
-    from .sparsepoly import make_polynomial
-
     gp = make_polynomial(1, [((i,), c) for i, c in enumerate(g) if c])
     return sturm_count(gp, lower, upper)
 

@@ -153,7 +153,13 @@ def test_disc_negative_coeffs(capsys):
 
 
 @pytest.mark.parametrize(
-    "support, coeffs", [("0;1;2", "1,-2"), ("0,1;2;3", "1,-2,1")]
+    "support, coeffs",
+    [
+        ("0;1;2", "1,-2"),
+        ("0,1;2;3", "1,-2,1"),
+        ("0;1", "1,-1"),  # affinely independent: not a circuit
+        ("0,0;1,0;2,0;0,1", "1,-2,1,1"),  # a pyramid over a circuit
+    ],
 )
 def test_disc_malformed_input(capsys, support, coeffs):
     code = run(["disc", "sign", "--support", support, "--coeffs", coeffs])
@@ -411,6 +417,7 @@ def test_oracle_product_rejects_zero_to_the_zero(capsys):
 
 
 @pytest.mark.parametrize("argv, named", [
+    (["feas", "--set", "positive"], "--expr or --file"),
     (["reduce", "sat3"], "--dimacs"),
     (["reduce", "sat3", "--dimacs", "{cnf}"], "p cnf"),
     (["reduce", "shor"], "--file"),

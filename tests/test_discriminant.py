@@ -13,11 +13,11 @@ from sparsefeas.discriminant import (
     adisc_vanish,
     degenerate_point,
 )
-from sparsefeas.errors import NoRealSolutionError, PreconditionError
+from sparsefeas.errors import NoRealSolutionError, NotACircuitError, PreconditionError
 from sparsefeas.geometry import CircuitData, analyze_support, find_circuit
 from sparsefeas.intlattice import smith_factor
 from sparsefeas.oracle import multiple_root_count
-from sparsefeas.sparsepoly import evaluate, make_polynomial, parse, support
+from sparsefeas.sparsepoly import PointSet, evaluate, make_polynomial, parse, support
 
 
 def _disc(f):
@@ -104,6 +104,15 @@ def test_unit_square_relation_sign_is_normalized():
         assert (adisc_sign(E), adisc_vanish(E)) == (adisc_sign(D), adisc_vanish(D)), c
         signs.add(adisc_sign(D))
     assert signs == {-1, 0, 1}
+
+
+def test_rejects_non_primitive_relation():
+    # twice the relation (1, -2, 1) would flip the sign read from the
+    # products: 1 + 4 = 5 > 0, but (2, -4, 2) reads it as -1
+    pts = PointSet(((0,), (1,), (2,)))
+    with pytest.raises(NotACircuitError):
+        CircuitData(pts, (2, -4, 2))
+    assert adisc_sign(CircuitDiscriminant(CircuitData(pts, (1, -2, 1)), (1, 1, -1))) == 1
 
 
 def test_rejects_zero_coefficient():

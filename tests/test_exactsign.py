@@ -176,6 +176,42 @@ def test_binomial_vanish_false():
     assert not binomial_vanish([2], [2], [3], [4])
 
 
+def test_binomial_vanish_above_expansion_gate():
+    # past the 2^12-bit gate a zero base or a sign parity decides before
+    # any gcd-free basis; every side stays under the oracle's 2^19 bits
+    cases = [
+        ([0, 3], [0, 5], [1, 5000], [1, 5000]),  # both zero
+        ([-3], [3], [5001], [5001]),  # odd against even parity
+    ]
+    rng = random.Random(24)
+    for _ in range(80):
+        k = rng.randint(1, 3)
+        alphas = [rng.choice((-1, 1)) * rng.randint(2, 40) for _ in range(k)]
+        us = [rng.randint(2100, 3000) for _ in range(k)]
+        perm = rng.sample(range(k), k)
+        betas = [rng.choice((-1, 1)) * abs(alphas[i]) for i in perm]
+        vs = [us[i] for i in perm]
+        if rng.random() < 0.3:
+            vs[rng.randrange(k)] += 2  # the same parity, a larger magnitude
+        if rng.random() < 0.2:
+            betas[rng.randrange(k)] = 0
+        cases.append((alphas, betas, us, vs))
+    kinds = set()
+    for alphas, betas, us, vs in cases:
+        assert not exactsign._expandable(alphas, us)
+        truth = exact_product_compare(alphas, betas, us, vs)
+        assert binomial_vanish(alphas, betas, us, vs) == (truth == 0), (alphas, betas, us, vs)
+        left_neg = sum(u for a, u in zip(alphas, us) if a < 0) % 2
+        right_neg = sum(v for b, v in zip(betas, vs) if b < 0) % 2
+        if 0 in alphas or 0 in betas:
+            kinds.add(("zero", truth == 0))
+        else:
+            kinds.add(("parity" if left_neg != right_neg else "basis", truth == 0))
+    assert kinds == {
+        ("zero", True), ("zero", False), ("parity", False), ("basis", True), ("basis", False)
+    }
+
+
 def test_binomial_vanish_signs_and_zero():
     assert binomial_vanish([0, 7], [0, 11], [2, 1], [5, 1])
     assert not binomial_vanish([0], [3], [2], [1])

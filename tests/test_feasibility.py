@@ -280,7 +280,8 @@ def test_singular_point_decides_vanishing_once(monkeypatch):
 
 def test_real_dispatch_one_factorization_over_closed_subsets(monkeypatch):
     # the circuit lies on the x1 axis and its sign class is mixed, so the
-    # circuit rule decides it and each pyramid over it with one x_j^2
+    # circuit rule decides all terms, a pyramid over it, and cl(C), the
+    # circuit alone
     f = parse("1 - x1^2 + x1^4 + " + " + ".join(f"x{i}^2" for i in range(2, 11)))
     calls = _count_echelon_calls(monkeypatch)
     rep = feas_real_full(f)

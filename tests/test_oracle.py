@@ -24,6 +24,7 @@ def test_sturm_known_counts():
     assert sturm_count(parse("x1^2 + 1")) == 0
     assert sturm_count(parse("x1^2 - 2")) == 2
     assert sturm_count(parse("x1^2 - 2"), 0, None) == 1
+    assert sturm_count(parse("7")) == 0
 
 
 def test_sturm_interval_endpoints():
