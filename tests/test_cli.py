@@ -417,7 +417,6 @@ def test_oracle_product_rejects_zero_to_the_zero(capsys):
 
 
 @pytest.mark.parametrize("argv, named", [
-    (["feas", "--set", "positive"], "--expr or --file"),
     (["reduce", "sat3"], "--dimacs"),
     (["reduce", "sat3", "--dimacs", "{cnf}"], "p cnf"),
     (["reduce", "shor"], "--file"),
@@ -428,6 +427,7 @@ def test_oracle_product_rejects_zero_to_the_zero(capsys):
     (["oracle", "product", "--alphas", "2", "--betas", "3", "--us", "2"], "--vs"),
     (["oracle", "grid", "--expr", "x1 - 1", "--resolution", "1/2"], "--box"),
     (["oracle", "grid", "--expr", "x1 - 1", "--box", "0,2"], "--resolution"),
+    (["feas", "--set", "positive"], "--expr or --file"),
 ])
 def test_missing_option_is_one_error_line(tmp_path, capsys, argv, named):
     cnf = tmp_path / "header.cnf"
