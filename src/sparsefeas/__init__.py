@@ -45,7 +45,6 @@ from .exactsign import (
     gcd_free_basis,
 )
 from .geometry import (
-    CircuitData,
     affine_dim,
     find_circuit,
     interior_point,

@@ -3,6 +3,8 @@
 One subcommand per capability, one JSON document per invocation on
 stdout; human diagnostics go to stderr.  Exit codes: 0 success, 1 domain
 error (bad input values, undecidable within precision), 2 usage error.
+Each ``_cmd_*`` handler returns its payload, and ``run`` writes it, or
+the one-line error, once.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .discriminant import (
 )
 from .errors import PreconditionError, ScaleLimitError, SparseFeasError
 from .feasibility import EMPTY, classify_positive, feas_real_full, topology_report
-from .geometry import find_circuit
+from .geometry import analyze_support
 from .oracle import exact_product_compare, grid_scan, sturm_count
 from .reductions import PolySystem, Sat3Formula, sat3_to_system, shor_normal_form, sos_aggregate
 from .sparsepoly import (
@@ -63,7 +65,7 @@ def _required(value, option: str):
     return value
 
 
-def _emit(payload) -> int:
+def _emit(payload) -> None:
     # witnesses may pass the int-to-str digit guard (Python >= 3.10.7);
     # it is lifted only while encoding, so that parsing input keeps it
     limit = getattr(sys, "get_int_max_str_digits", int)()
@@ -75,17 +77,16 @@ def _emit(payload) -> int:
         if limit:
             sys.set_int_max_str_digits(limit)
     sys.stdout.write(text + "\n")
-    return 0
 
 
-def _cmd_parse(args) -> int:
+def _cmd_parse(args) -> dict:
     f = _load_poly(args)
     payload = to_json(f)
     payload["text"] = to_text(f)
-    return _emit(payload)
+    return payload
 
 
-def _cmd_feas(args) -> int:
+def _cmd_feas(args) -> dict:
     f = _load_poly(args)
     if args.set == "positive":
         cls, cert = classify_positive(f)
@@ -96,12 +97,12 @@ def _cmd_feas(args) -> int:
         verdict = rep.nonzero_reals if args.set == "nonzero" else rep.all_reals
     # an empty verdict may come with a point of another set (a sign-change
     # pair in another orthant, or the origin), which certifies nothing here
-    return _emit({
+    return {
         "set": args.set,
         "verdict": verdict,
         "classification": cls,
         "witness": None if verdict == "empty" else cert,
-    })
+    }
 
 
 def _parse_points(text: str):
@@ -111,26 +112,22 @@ def _parse_points(text: str):
     return PointSet(pts)
 
 
-def _cmd_disc(args) -> int:
+def _cmd_disc(args) -> dict:
     pts = _parse_points(args.support)
     coeffs = tuple(int(v) for v in args.coeffs.split(","))
     if len(coeffs) != len(pts):
         raise SparseFeasError(
             f"{len(coeffs)} coefficients for {len(pts)} support points"
         )
-    located = find_circuit(pts)
-    if located is None or len(located[0].points) != len(pts):
-        raise SparseFeasError("support is not a circuit")
-    C, idx = located
-    D = CircuitDiscriminant(C, tuple(coeffs[i] for i in idx))
+    D = CircuitDiscriminant(analyze_support(pts), coeffs)
     if args.which == "vanish":
-        return _emit({"vanish": adisc_vanish(D)})
-    return _emit({"sign": adisc_sign(D)})
+        return {"vanish": adisc_vanish(D)}
+    return {"sign": adisc_sign(D)}
 
 
-def _cmd_topology(args) -> int:
+def _cmd_topology(args) -> dict:
     f = _load_poly(args)
-    return _emit(topology_report(f))
+    return topology_report(f)
 
 
 # each variable adds a binomial with two exponent vectors of length n: at
@@ -188,7 +185,7 @@ def _load_system(args) -> PolySystem:
 _BRUTE_FORCE_MAX_VARS = 16
 
 
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args) -> dict:
     if args.gadget == "sat3":
         phi = _read_dimacs(_required(args.dimacs, "--dimacs"))
         n = phi.num_vars
@@ -203,14 +200,14 @@ def _cmd_reduce(args) -> int:
                 all(evaluate(p, bits[: p.n]) == 0 for p in F.polynomials)
                 for bits in product((0, 1), repeat=n)
             )
-        return _emit(payload)
+        return payload
     F = _load_system(args)
     if args.gadget == "shor":
-        return _emit(_system_json(shor_normal_form(F)))
+        return _system_json(shor_normal_form(F))
     g = sos_aggregate(F)
     payload = to_json(g)
     payload["term_count"] = len(g.terms)
-    return _emit(payload)
+    return payload
 
 
 def _fraction_or_none(text):
@@ -219,13 +216,13 @@ def _fraction_or_none(text):
     return Fraction(text)
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> dict:
     if args.probe == "sturm":
         f = _load_poly(args)
         count = sturm_count(
             f, _fraction_or_none(args.lower), _fraction_or_none(args.upper)
         )
-        return _emit({"count": count})
+        return {"count": count}
     if args.probe == "grid":
         f = _load_poly(args)
         box = [
@@ -233,12 +230,12 @@ def _cmd_oracle(args) -> int:
             for chunk in _required(args.box, "--box").split(";")
         ]
         cert = grid_scan(f, box, Fraction(_required(args.resolution, "--resolution")))
-        return _emit({"certificate": cert})
+        return {"certificate": cert}
     alphas, betas, us, vs = (
         [int(v) for v in _required(getattr(args, name), f"--{name}").split(",")]
         for name in ("alphas", "betas", "us", "vs")
     )
-    return _emit({"sign": exact_product_compare(alphas, betas, us, vs)})
+    return {"sign": exact_product_compare(alphas, betas, us, vs)}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -317,13 +314,11 @@ def run(argv) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
     try:
-        return args.func(args)
-    except SparseFeasError as exc:
+        _emit(args.func(args))
+    except (SparseFeasError, ValueError, OSError, ZeroDivisionError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, ZeroDivisionError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return 0
 
 
 def main() -> None:

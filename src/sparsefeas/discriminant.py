@@ -10,11 +10,12 @@ collapses to a difference of two monomial products:
 so both the vanish test and the sign reduce to exactsign primitives,
 which expand the products only when both are small (at most 2^12 bits).
 Both read only m and c: the public functions take a CircuitDiscriminant,
-and the deciders pass a support's relation and coefficients directly.
+whose circuit is the SupportAnalysis of the circuit's points, and the
+deciders pass a support's relation and coefficients directly.
 When Delta vanishes, the unique degenerate point per orthant is cut out
 by the binomial system zeta^(a_j - a_0) = (m_j c_0)/(m_0 c_j), which is
-linear in log zeta over the rows (1 | a_j) that geometry.analyze_support
-factors; the solution is read off that one analysis, with its powers
+linear in log zeta over the rows (1 | a_j) that the same analysis
+eliminates; the solution is read off it, with its powers
 taken as exponents on a gcd-free basis of the right-hand sides.
 """
 
@@ -25,19 +26,24 @@ from fractions import Fraction
 from math import gcd, prod
 from typing import Optional
 
-from .errors import NoRealSolutionError, PreconditionError
+from .errors import NoRealSolutionError, NotACircuitError, PreconditionError
 from .exactsign import binomial_sign, binomial_vanish, gcd_free_basis
-from .geometry import CircuitData, SupportAnalysis, analyze_support, interior_point
+from .geometry import SupportAnalysis, interior_point
 
 
 @dataclass(frozen=True)
 class CircuitDiscriminant:
-    """A circuit together with nonzero integer coefficients."""
+    """A circuit, the SupportAnalysis of its points (geometry.find_circuit
+    gives it), together with nonzero integer coefficients."""
 
-    circuit: CircuitData
+    circuit: SupportAnalysis
     coefficients: tuple[int, ...]
 
     def __post_init__(self):
+        m = self.circuit.relation  # more than dim + 2 points raise here
+        # two points with a relation are one point repeated
+        if m is None or len(m) < 3 or not all(m):
+            raise NotACircuitError("support is not a circuit")
         if len(self.coefficients) != len(self.circuit.points):
             raise PreconditionError("coefficient vector length mismatch")
         if any(c == 0 for c in self.coefficients):
@@ -46,10 +52,11 @@ class CircuitDiscriminant:
 
 def _normalized_relation(m):
     """Relation with the interior point's entry negative; when there is no
-    interior point, the first entry is made positive."""
+    interior point, m as given: a SupportAnalysis relation, or its
+    restriction to terms that hold the circuit, has its first nonzero
+    entry positive already."""
     i = interior_point(m)
-    flip = m[i] > 0 if i is not None else m[0] < 0
-    return [-v for v in m] if flip else list(m)
+    return [-v for v in m] if i is not None and m[i] > 0 else m
 
 
 def _products(m, c):
@@ -110,17 +117,16 @@ def degenerate_point(D: CircuitDiscriminant) -> DegeneratePoint:
     Raises PreconditionError unless adisc_vanish(D).  With r_j =
     (m_j c_0)/(m_0 c_j), a negative r_j leaves no point in the orthant;
     otherwise zeta^(a_j - a_0) = r_j is the linear system (1 | a_j)
-    (t, log zeta) = log r_j, which the analysis of the circuit's points
-    eliminates: with S the rows 1..n of its solution and P its scale D,
-    zeta_k^P = prod_j r_j^(S_kj), free coordinates 1.  S is fixed only up
+    (t, log zeta) = log r_j, which D.circuit, the analysis of the
+    circuit's points, eliminates: with S the rows 1..n of its solution
+    and P its scale D, zeta_k^P = prod_j r_j^(S_kj), free coordinates 1.  S is fixed only up
     to multiples of m, so the powers are taken as exponents on a gcd-free
     basis of the r_j, where m cancels exactly: prod_j r_j^(m_j) = 1, and
     coprime integers are multiplicatively independent.
     """
     if not adisc_vanish(D):
         raise PreconditionError("discriminant does not vanish at these coefficients")
-    C = D.circuit
-    return _degenerate_point(C.relation, D.coefficients, analyze_support(C.points))
+    return _degenerate_point(D.circuit, D.coefficients)
 
 
 def _root_out(rho: int, order: int):
@@ -143,10 +149,11 @@ def _root_out(rho: int, order: int):
     return rho, order
 
 
-def _degenerate_point(m, c, an: SupportAnalysis) -> DegeneratePoint:
-    """degenerate_point for the circuit relation m and coefficients c, at
-    which the discriminant is known to vanish; ``an`` is the analysis of
-    the circuit's points in their order."""
+def _degenerate_point(an: SupportAnalysis, c) -> DegeneratePoint:
+    """degenerate_point for the analysis ``an`` of a circuit's points, in
+    their order, and coefficients c, at which the discriminant of its
+    relation m is known to vanish."""
+    m = an.relation
     r = [Fraction(mj * c[0], m[0] * cj) for mj, cj in zip(m, c)]
     if min(r) < 0:
         raise NoRealSolutionError("no degenerate point in the positive orthant")

@@ -224,7 +224,7 @@ def feas_circuit(f: SparsePolynomial, an: SupportAnalysis | None = None) -> Feas
         normals = [primitive_vector([m[p] * x[q] - m[q] * x[p] for x in X])[1:] for p, q in why]
         cert = {"facet_normal": list(min(normals))}
     elif cls == SINGULAR_POINT:
-        cert = _degenerate_point(m, why, an)  # _disc_sign found it zero
+        cert = _degenerate_point(an, why)  # _disc_sign found it zero
     if cls != EMPTY and an.rank <= f.n:
         cls = ALL_NONCOMPACT
     verdict = "empty" if cls == EMPTY else "nonempty"

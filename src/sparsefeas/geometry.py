@@ -6,49 +6,20 @@ A *circuit* is an affinely dependent point set every proper subset of
 which is affinely independent.  Such a set carries a unique (up to sign)
 integer affine relation m with all entries nonzero, and the sign pattern
 of m encodes the Radon partition of the set.  A support of at most
-dim + 2 points holds at most one circuit; below the public API it is
-carried only as the support's one affine relation, one entry per point
-and zero off the circuit, from which the interior point and the facets
-are read.
+dim + 2 points holds at most one circuit, carried everywhere, the public
+API included, as the SupportAnalysis of its points: the support's one
+affine relation, one entry per point and zero off the circuit, from
+which the interior point and the facets are read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
 
-from .errors import NotACircuitError, PreconditionError
+from .errors import PreconditionError
 from .intlattice import echelon_rows, echelon_solution
 from .sparsepoly import PointSet
-
-
-@dataclass(frozen=True)
-class CircuitData:
-    """A circuit with its primitive affine relation.
-
-    relation m satisfies: every m_j != 0, sum m_j == 0, sum m_j b_j == 0,
-    and gcd over |m_j| is 1.
-    """
-
-    points: PointSet
-    relation: tuple[int, ...]
-
-    def __post_init__(self):
-        m = self.relation
-        pts = self.points
-        if len(m) != len(pts):
-            raise NotACircuitError("relation length mismatch")
-        if any(v == 0 for v in m):
-            raise NotACircuitError("relation has a zero entry")
-        if sum(m) != 0:
-            raise NotACircuitError("relation entries do not sum to zero")
-        if gcd(*m) != 1:
-            raise NotACircuitError("relation is not primitive")
-        d = len(pts[0])
-        for k in range(d):
-            if sum(mi * p[k] for mi, p in zip(m, pts)) != 0:
-                raise NotACircuitError("relation does not annihilate the points")
 
 
 @dataclass(frozen=True)
@@ -90,7 +61,7 @@ class SupportAnalysis:
         if not self.kernel:
             return None
         m = self.kernel[0]
-        return m if next(v for v in m if v) > 0 else [-v for v in m]
+        return tuple(m) if next(v for v in m if v) > 0 else tuple(-v for v in m)
 
 
 def analyze_support(A) -> SupportAnalysis:
@@ -109,16 +80,19 @@ def affine_dim(A: PointSet) -> int:
 def find_circuit(A: PointSet):
     """Locate the unique circuit inside A, if any.
 
-    Requires #A <= affine_dim(A) + 2.  Returns (CircuitData, index map
-    into A) for the unique minimally dependent subset, or None when A is
-    affinely independent.
+    Requires #A <= affine_dim(A) + 2.  Returns (the SupportAnalysis of
+    the circuit's points, their indices into A), or None when A is
+    affinely independent.  When the circuit is all of A, that analysis is
+    A's own.  Repeated points raise ValueError: they would form a
+    two-point circuit.
     """
     an = analyze_support(A)
     m = an.relation
     if m is None:
         return None
     idx = [i for i, v in enumerate(m) if v]
-    return CircuitData(PointSet(tuple(an.points[i] for i in idx)), tuple(m[i] for i in idx)), idx
+    pts = PointSet(tuple(an.points[i] for i in idx))
+    return (an if len(idx) == len(m) else analyze_support(pts)), idx
 
 
 def interior_point(relation):

