@@ -44,8 +44,9 @@ class CircuitDiscriminant:
         # two points with a relation are one point repeated
         if m is None or len(m) < 3 or not all(m):
             raise NotACircuitError("support is not a circuit")
-        if len(self.coefficients) != len(self.circuit.points):
-            raise PreconditionError("coefficient vector length mismatch")
+        k, n = len(self.coefficients), len(self.circuit.points)
+        if k != n:
+            raise PreconditionError(f"{k} coefficients for {n} points")
         if any(c == 0 for c in self.coefficients):
             raise PreconditionError("discriminant coefficients must be nonzero")
 

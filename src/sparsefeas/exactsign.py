@@ -43,6 +43,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import gcd, prod
 
@@ -198,14 +199,10 @@ def _atanh_fixed(p: int, q: int, guard: int):
     return low, 2 * terms + 2
 
 
-_ATANH_THIRD: dict = {}  # guard -> _atanh_fixed(1, 3, guard); ln 2 = 2 atanh(1/3)
-
-
+@cache
 def _atanh_third(guard: int):
-    hit = _ATANH_THIRD.get(guard)
-    if hit is None:
-        hit = _ATANH_THIRD[guard] = _atanh_fixed(1, 3, guard)
-    return hit
+    """_atanh_fixed(1, 3, guard); ln 2 = 2 atanh(1/3)."""
+    return _atanh_fixed(1, 3, guard)
 
 
 def _log_fixed(n: int, bits: int):

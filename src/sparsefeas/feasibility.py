@@ -135,9 +135,8 @@ def feas_simplex(f: SparsePolynomial, an: SupportAnalysis | None = None) -> Feas
 def _circuit_class(m, coeffs):
     """The class of Z_+ for ``coeffs`` on d + 2 points whose one affine
     relation is ``m`` (zero off their circuit), in their own span of
-    dimension d, with what certifies it: the mixed facet complements
-    (step 1), the coefficients at which the discriminant vanishes (a
-    singular point), or None."""
+    dimension d, and the mixed facet complements when step 1 decides it
+    (None otherwise)."""
     # Step 1: the d-term facets A minus {p, q}, m_p > 0 > m_q; a face of
     # one term (d = 1) never mixes
     mixed = []
@@ -148,13 +147,11 @@ def _circuit_class(m, coeffs):
     if mixed:
         return ALL_NONCOMPACT, mixed
 
-    # Step 2: a pyramid over the circuit terms
+    # Step 2: a pyramid over the circuit terms, whose facets step 1 saw
     idx = [j for j, v in enumerate(m) if v]
     if len(idx) < len(m):
         base, _ = _circuit_class([m[j] for j in idx], [coeffs[j] for j in idx])
-        if base in (ALL_NONCOMPACT, COMPACT_SPHERE):
-            return NONEMPTY_UNCLASSIFIED, None
-        return EMPTY, None
+        return NONEMPTY_UNCLASSIFIED if base == COMPACT_SPHERE else EMPTY, None
 
     # Step 3: the whole support is the circuit
     ip = interior_point(m)
@@ -164,11 +161,9 @@ def _circuit_class(m, coeffs):
         if len(coeffs) == 3 and ends[0] != ends[1]:
             return POINT_MULT_1, None  # d = 1: the segment's ends differ
         if all(s != signs[ip] for s in ends):  # a caged alternation
-            if signs[ip] > 0:
-                coeffs = [-c for c in coeffs]
-            sign = _disc_sign(m, coeffs)
+            sign = _disc_sign(m, [-c for c in coeffs] if signs[ip] > 0 else coeffs)
             if sign == 0:
-                return SINGULAR_POINT, coeffs
+                return SINGULAR_POINT, None
             if sign == (1 if m[ip] % 2 == 0 else -1):
                 return COMPACT_SPHERE, None
     return EMPTY, None
@@ -200,8 +195,10 @@ def feas_circuit(f: SparsePolynomial, an: SupportAnalysis | None = None) -> Feas
     have the sign s of the circuit's vertices.  A monomial change of
     variables on the open orthant writes f as g(y) + sum_j c_j z_j, with
     g the circuit terms, so Z_+ is a graph, or an open-simplex bundle,
-    over {-s g > 0}.  It is nonempty exactly when g alone is
-    ALL_NONCOMPACT or COMPACT_SPHERE (reported NONEMPTY_UNCLASSIFIED).
+    over {-s g > 0}.  Each facet of g, with the apexes added, is a facet
+    that step 1 saw, so g alone is EMPTY, SINGULAR_POINT or
+    COMPACT_SPHERE, and the pyramid is nonempty exactly when g is
+    COMPACT_SPHERE (reported NONEMPTY_UNCLASSIFIED).
 
     Step 3: for d = 1 the segment's two ends of different signs give one
     simple root.  Otherwise a caged sign alternation routes through the
@@ -217,14 +214,15 @@ def feas_circuit(f: SparsePolynomial, an: SupportAnalysis | None = None) -> Feas
     m = an.relation  # more than dim + 2 points raise here
     if not m:
         raise PreconditionError("circuit case needs exactly dim + 2 terms")
-    cls, why = _circuit_class(m, [t.coefficient for t in f.terms])
+    coeffs = [t.coefficient for t in f.terms]
+    cls, mixed = _circuit_class(m, coeffs)
     cert = None
     if cls == ALL_NONCOMPACT:
         X = an.solution  # values -m_q at p, m_p at q: orthogonal to m
-        normals = [primitive_vector([m[p] * x[q] - m[q] * x[p] for x in X])[1:] for p, q in why]
-        cert = {"facet_normal": list(min(normals))}
+        normal = min(primitive_vector([m[p] * x[q] - m[q] * x[p] for x in X])[1:] for p, q in mixed)
+        cert = {"facet_normal": list(normal)}
     elif cls == SINGULAR_POINT:
-        cert = _degenerate_point(an, why)  # _disc_sign found it zero
+        cert = _degenerate_point(an, coeffs)
     if cls != EMPTY and an.rank <= f.n:
         cls = ALL_NONCOMPACT
     verdict = "empty" if cls == EMPTY else "nonempty"
@@ -350,8 +348,6 @@ def topology_report(f: SparsePolynomial) -> dict:
             POINT_MULT_1: 1,
             SINGULAR_POINT: 1,
             COMPACT_SPHERE: 2,
-            ALL_NONCOMPACT: 1,
-            NONEMPTY_UNCLASSIFIED: None,
         }[cls]
         report["positive_roots"] = counts
         if cls == COMPACT_SPHERE:

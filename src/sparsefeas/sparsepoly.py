@@ -89,9 +89,6 @@ class PointSet:
     def __iter__(self):
         return iter(self.points)
 
-    def __getitem__(self, i):
-        return self.points[i]
-
 
 def make_polynomial(n: int, terms: Iterable[tuple[Sequence[int], int]]) -> SparsePolynomial:
     """Build a canonical polynomial from (exponent vector, coefficient) pairs.
@@ -227,11 +224,10 @@ def evaluate(f: SparsePolynomial, x: Sequence) -> Fraction:
     """
     if len(x) != f.n:
         raise ValueError("point dimension mismatch")
-    xs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in x]
     total = Fraction(0)
     for t in f.terms:
         val = Fraction(t.coefficient)
-        for xi, e in zip(xs, t.exponents):
+        for xi, e in zip(x, t.exponents):
             if e:
                 val *= Fraction(xi) ** e
         total += val

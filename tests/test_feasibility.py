@@ -1,6 +1,7 @@
 """Tests for the feasibility deciders and topology reports."""
 
 import collections
+import hashlib
 import itertools
 import json
 import random
@@ -872,6 +873,20 @@ def test_real_full_matches_closed_subsets_beyond_strata():
     assert len(seen) == 4 and min(seen.values()) >= 10, seen
 
 
+def test_answers_match_recorded_hashes():
+    # the answer-hash recipe (ROADMAP), cut to its first 3,000 instances:
+    # sha256 over the concatenated reprs, so any changed verdict, class or
+    # certificate shows
+    rng = random.Random(24)
+    full, topo = hashlib.sha256(), hashlib.sha256()
+    for k in range(3000):
+        f = _random_real_instance(rng, 1 + k % 6)
+        full.update(repr(feas_real_full(f)).encode())
+        topo.update(repr((classify_positive(f), topology_report(f))).encode())
+    assert full.hexdigest()[:16] == "b2b074d61b5b4ad1"
+    assert topo.hexdigest()[:16] == "49e1590aad7d7278"
+
+
 @pytest.mark.parametrize("n", [30, 40])
 def test_real_dispatch_probes_polynomial_in_n(n):
     # the closed-set and sign-class enumerations grew as 2^n on these
@@ -941,3 +956,8 @@ def test_too_many_terms_rejected():
     f = parse("1 + x1 + x1^2 + x1^3 + x1^5")
     with pytest.raises(PreconditionError):
         feas_circuit(f)
+    # each decider refuses the other's shape: a circuit, a simplex
+    with pytest.raises(PreconditionError, match="not affinely independent"):
+        feas_simplex(parse("1 + x1 + x1^2"))
+    with pytest.raises(PreconditionError, match="exactly dim"):
+        feas_circuit(parse("1 + x1"))

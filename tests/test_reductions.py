@@ -201,6 +201,8 @@ def test_sos_aggregate_shares_roots():
     ]),
     # a binomial keeps the product of its monomial's two halves
     ("x1^2*x2^3 - 7", 5, ["-7 + x3*x5", "x3 - x1^2", "x4 - x2^2", "x5 - x2*x4"]),
+    # three terms: the linear form is one trinomial, with no partial sums
+    ("x1^2*x2 - 3*x2^2 + x1", 5, ["x5 - 3*x3 + x1", "x3 - x2^2", "x4 - x1*x2", "x5 - x1*x4"]),
 ])
 def test_shor_exact_output(expr, n, texts):
     # fresh variables are numbered post-order, one per distinct monomial
