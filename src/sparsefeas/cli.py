@@ -4,7 +4,8 @@ One subcommand per capability, one JSON document per invocation on
 stdout; human diagnostics go to stderr.  Exit codes: 0 success, 1 domain
 error (bad input values, undecidable within precision), 2 usage error.
 Each ``_cmd_*`` handler returns its payload, and ``run`` writes it, or
-the one-line error, once.
+the one-line error, once.  The ``reduce`` and ``oracle`` handlers import
+their modules themselves, so that no other subcommand loads them.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from .discriminant import (
 from .errors import PreconditionError, ScaleLimitError, SparseFeasError
 from .feasibility import EMPTY, classify_positive, feas_real_full, topology_report
 from .geometry import analyze_support
-from .oracle import exact_product_compare, grid_scan, sturm_count
-from .reductions import PolySystem, Sat3Formula, sat3_to_system, shor_normal_form, sos_aggregate
 from .sparsepoly import (
     PointSet,
     SparsePolynomial,
@@ -132,6 +131,8 @@ _SAT3_MAX_VARS = 1000
 
 
 def _read_dimacs(path: str) -> Sat3Formula:
+    from .reductions import Sat3Formula
+
     num_vars = 0
     clauses = []
     with open(path) as fh:
@@ -168,6 +169,8 @@ def _system_json(F: PolySystem):
 
 
 def _load_system(args) -> PolySystem:
+    from .reductions import PolySystem
+
     with open(_required(args.file, "--file")) as fh:
         data = json.load(fh)
     if isinstance(data, dict) and "polynomials" in data:
@@ -182,6 +185,8 @@ _BRUTE_FORCE_MAX_VARS = 16
 
 
 def _cmd_reduce(args) -> dict:
+    from .reductions import sat3_to_system, shor_normal_form, sos_aggregate
+
     if args.gadget == "sat3":
         phi = _read_dimacs(_required(args.dimacs, "--dimacs"))
         n = phi.num_vars
@@ -211,6 +216,8 @@ def _fraction_or_none(text):
 
 
 def _cmd_oracle(args) -> dict:
+    from .oracle import exact_product_compare, grid_scan, sturm_count
+
     if args.probe == "sturm":
         f = _load_poly(args)
         count = sturm_count(

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
-from typing import Optional
 
 from .errors import NoRealSolutionError, NotACircuitError, PreconditionError
 from .exactsign import binomial_sign, binomial_vanish, gcd_free_basis
@@ -109,7 +108,7 @@ class DegeneratePoint:
     rhos: tuple[Fraction, ...]
     orders: tuple[int, ...]
     mixing: tuple[tuple[int, ...], ...]
-    coordinates: Optional[tuple[Fraction, ...]]
+    coordinates: tuple[Fraction, ...] | None
 
 
 def degenerate_point(D: CircuitDiscriminant) -> DegeneratePoint:

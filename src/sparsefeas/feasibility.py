@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .errors import PreconditionError
 from .discriminant import _degenerate_point, _disc_sign
@@ -60,9 +59,9 @@ class FeasibilityReport:
     point description.
     """
 
-    positive_orthant: Optional[str]
-    nonzero_reals: Optional[str]
-    all_reals: Optional[str]
+    positive_orthant: str | None
+    nonzero_reals: str | None
+    all_reals: str | None
     classification: str
     certificate: object = None
 

@@ -143,13 +143,20 @@ def _variations_inf(chain, positive: bool):
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def _check_bounds(lower, upper):
+    if lower is not None and upper is not None and Fraction(lower) > Fraction(upper):
+        raise PreconditionError(f"lower bound {lower} exceeds upper bound {upper}")
+
+
 def sturm_count(f: SparsePolynomial, lower=None, upper=None) -> int:
     """Exact number of distinct real roots of f in (lower, upper].
 
-    None endpoints mean -infinity / +infinity.  Counting happens on the
-    squarefree part, so multiplicities never inflate the answer.  A
+    None endpoints mean -infinity / +infinity; lower > upper raises
+    PreconditionError, and lower == upper counts 0.  Counting happens on
+    the squarefree part, so multiplicities never inflate the answer.  A
     degree above 1,000 raises ScaleLimitError before anything is built.
     """
+    _check_bounds(lower, upper)
     p = _primitive(_trim(_dense(f)))
     if len(p) <= 1:
         return 0
@@ -179,6 +186,7 @@ def sturm_count(f: SparsePolynomial, lower=None, upper=None) -> int:
 
 def multiple_root_count(f: SparsePolynomial, lower=None, upper=None) -> int:
     """Number of distinct roots of multiplicity >= 2 in (lower, upper]."""
+    _check_bounds(lower, upper)
     p = _primitive(_trim(_dense(f)))
     if len(p) <= 1:
         raise PreconditionError("constant polynomial")

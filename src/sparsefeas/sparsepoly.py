@@ -26,12 +26,11 @@ assumes at least one term with a nonzero coefficient.
 
 from __future__ import annotations
 
-import json
 import re
 import sys
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .errors import ParseError, PreconditionError, ZeroPolynomialError
 
@@ -255,6 +254,8 @@ def from_json(obj) -> SparsePolynomial:
     the module docstring; a document of another shape or with values of
     other types raises PreconditionError."""
     if isinstance(obj, str):
+        import json  # only text needs it; deciding never reads JSON
+
         obj = json.loads(obj)
     try:
         n = _json_int(obj["n"])

@@ -235,9 +235,10 @@ def test_reduce_sat3_brute_force_size_guard(tmp_path, capsys):
 ])
 @pytest.mark.parametrize("flags", [[], ["--brute-force"]])
 def test_reduce_sat3_header_guard(tmp_path, capsys, monkeypatch, header, named, flags):
-    # the header alone is refused, before any polynomial is built
+    # the header alone is refused, before any polynomial is built; the
+    # handler imports the gadget from its module when it runs
     monkeypatch.setattr(
-        "sparsefeas.cli.sat3_to_system", lambda phi: pytest.fail("system built")
+        "sparsefeas.reductions.sat3_to_system", lambda phi: pytest.fail("system built")
     )
     cnf = tmp_path / "phi.cnf"
     cnf.write_text(f"{header}\n1 2 3 0\n")
@@ -383,6 +384,14 @@ def test_oracle_sturm_degree_guard(capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_oracle_sturm_reversed_bounds_is_one_error_line(capsys):
+    code = run(["oracle", "sturm", "--expr", "x1^2 - 2", "--lower", "3", "--upper", "1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "3" in captured.err and "1" in captured.err
 
 
 def test_oracle_product(capsys):

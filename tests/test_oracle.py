@@ -113,6 +113,20 @@ def test_sturm_degree_guard():
     assert sturm_count(parse("x1^1000 - 1")) == 2
 
 
+def test_sturm_reversed_bounds_are_refused():
+    # (lower, upper] with lower > upper is no interval: it used to count
+    # lo - hi < 0 roots; an empty interval lower == upper still counts 0
+    f = parse("x1^2 - 2")
+    for lower, upper in [(3, 1), (2, -2), (Fraction(1, 2), Fraction(1, 3))]:
+        with pytest.raises(PreconditionError, match=f"{lower}.*{upper}"):
+            sturm_count(f, lower, upper)
+    with pytest.raises(PreconditionError, match="3.*-3"):
+        multiple_root_count(parse("x1^4 - 4*x1^2 + 4"), 3, -3)
+    assert sturm_count(f, 1, 1) == 0
+    assert sturm_count(parse("x1^2 - 4"), 2, 2) == 0
+    assert multiple_root_count(parse("x1^4 - 4*x1^2 + 4"), -3, 3) == 2
+
+
 def test_exact_product_compare_matches_expansion():
     rng = random.Random(55)
     for _ in range(100):
