@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import groupby, product
 
 from .discriminant import (
     CircuitDiscriminant,
@@ -134,10 +134,12 @@ def _read_dimacs(path: str) -> Sat3Formula:
     from .reductions import Sat3Formula
 
     num_vars = 0
-    clauses = []
+    lits = []  # the literals as one stream: each 0 ends a clause
     with open(path) as fh:
         for line in fh:
             line = line.strip()
+            if line.startswith("%"):
+                break  # the SATLIB end marker
             if not line or line.startswith("c"):
                 continue
             if line.startswith("p"):
@@ -156,12 +158,8 @@ def _read_dimacs(path: str) -> Sat3Formula:
                         f"{num_vars} variables exceed the reduce sat3 guard of {_SAT3_MAX_VARS}"
                     )
                 continue
-            lits = [int(v) for v in line.split()]
-            if lits and lits[-1] == 0:
-                lits.pop()
-            if lits:
-                clauses.append(tuple(lits))
-    return Sat3Formula(num_vars, tuple(clauses))
+            lits += map(int, line.split())
+    return Sat3Formula(num_vars, tuple(tuple(c) for nz, c in groupby(lits, key=bool) if nz))
 
 
 def _system_json(F: PolySystem):
@@ -211,8 +209,12 @@ def _cmd_reduce(args) -> dict:
     return payload
 
 
-def _fraction_or_none(text):
-    return None if text is None else Fraction(text)
+def _rational(text, option: str):
+    """The rational value of an option (None when it is left out)."""
+    try:
+        return None if text is None else Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise SparseFeasError(f"{option} takes a rational such as -1/2, not {text!r}") from None
 
 
 def _cmd_oracle(args) -> dict:
@@ -220,18 +222,16 @@ def _cmd_oracle(args) -> dict:
 
     if args.probe == "sturm":
         f = _load_poly(args)
-        count = sturm_count(
-            f, _fraction_or_none(args.lower), _fraction_or_none(args.upper)
-        )
+        count = sturm_count(f, _rational(args.lower, "--lower"), _rational(args.upper, "--upper"))
         return {"count": count}
     if args.probe == "grid":
         f = _load_poly(args)
         box = [
-            tuple(Fraction(v) for v in chunk.split(","))
+            tuple(_rational(v, "--box") for v in chunk.split(","))
             for chunk in _required(args.box, "--box").split(";")
         ]
-        cert = grid_scan(f, box, Fraction(_required(args.resolution, "--resolution")))
-        return {"certificate": cert}
+        step = _rational(_required(args.resolution, "--resolution"), "--resolution")
+        return {"certificate": grid_scan(f, box, step)}
     alphas, betas, us, vs = (
         [int(v) for v in _required(getattr(args, name), f"--{name}").split(",")]
         for name in ("alphas", "betas", "us", "vs")

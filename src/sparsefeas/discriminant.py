@@ -9,9 +9,10 @@ collapses to a difference of two monomial products:
 
 so both the vanish test and the sign reduce to exactsign primitives,
 which expand the products only when both are small (at most 2^12 bits).
-Both read only m and c: the public functions take a CircuitDiscriminant,
-whose circuit is the SupportAnalysis of the circuit's points, and the
-deciders pass a support's relation and coefficients directly.
+Both take a CircuitDiscriminant, whose circuit is the SupportAnalysis of
+the circuit's points.  The deciders read no sign here (feasibility
+compares a caged circuit's interior coefficient with its circuit number);
+they take only the degenerate point, through _degenerate_point.
 When Delta vanishes, the unique degenerate point per orthant is cut out
 by the binomial system zeta^(a_j - a_0) = (m_j c_0)/(m_0 c_j), which is
 linear in log zeta over the rows (1 | a_j) that the same analysis
@@ -50,22 +51,15 @@ class CircuitDiscriminant:
             raise PreconditionError("discriminant coefficients must be nonzero")
 
 
-def _normalized_relation(m):
-    """Relation with the interior point's entry negative; when there is no
-    interior point, m as given: a SupportAnalysis relation, or its
-    restriction to terms that hold the circuit, has its first nonzero
-    entry positive already."""
-    i = interior_point(m)
-    return [-v for v in m] if i is not None and m[i] > 0 else m
-
-
 def _products(m, c):
     """The two monomial products whose difference is Delta for the
     circuit relation m and coefficients c: (left bases, right bases,
-    exponents |m_j|), positives-first permutation applied implicitly.  The
-    relation entries stay signed, (-|m_j|)^{|m_j|}, so the vanish locus is
-    exactly prod (c_i/m_i)^{m_i} = 1."""
-    m = _normalized_relation(m)
+    exponents |m_j|), positives-first permutation applied implicitly.  m
+    is negated if its interior point's entry is positive.  The relation
+    entries stay signed, (-|m_j|)^{|m_j|}, so the vanish locus is exactly
+    prod (c_i/m_i)^{m_i} = 1."""
+    i = interior_point(m)
+    m = [-v for v in m] if i is not None and m[i] > 0 else m
     left = [mj if mj > 0 else cj for mj, cj in zip(m, c)]
     right = [cj if mj > 0 else mj for mj, cj in zip(m, c)]
     return left, right, [abs(mj) for mj in m]
@@ -78,15 +72,10 @@ def adisc_vanish(D: CircuitDiscriminant) -> bool:
 
 
 def adisc_sign(D: CircuitDiscriminant) -> int:
-    """Exact sign of the circuit discriminant at the coefficients."""
-    return _disc_sign(D.circuit.relation, D.coefficients)
-
-
-def _disc_sign(m, c) -> int:
-    """adisc_sign for the circuit relation m and coefficients c.  Signs of
-    the two products are peeled off first; magnitudes go to the
+    """Exact sign of the circuit discriminant at the coefficients.  Signs
+    of the two products are peeled off first; magnitudes go to the
     adaptive-precision comparator."""
-    left, right, e = _products(m, c)
+    left, right, e = _products(D.circuit.relation, D.coefficients)
     ls, rs = ((-1) ** sum(b < 0 and k % 2 for b, k in zip(bases, e)) for bases in (left, right))
     if ls != rs:
         return ls

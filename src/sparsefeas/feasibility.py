@@ -14,13 +14,13 @@ whether Z_+ is empty, a single point, a singular point, a compact sphere,
 or has only non-compact components.
 
 A circuit support of d + 2 points is decided by one rule over its single
-affine relation m, the coefficient signs on the Gale-dual facets and one
-discriminant sign, all read off one echelon elimination with primitive
-rows of the support (geometry.analyze_support, whose full-length
-relation is the only form of the circuit here).  None of these depends
-on n: when d < n, Z_+(f) is the zero set in the support's span times
-R_+^(n - d), so a nonempty class is ALL_NONCOMPACT and its certificate
-is computed in R^n.
+affine relation m, the coefficient signs on the Gale-dual facets and,
+for a caged circuit, one comparison with its circuit number, all read
+off one echelon elimination with primitive rows of the support
+(geometry.analyze_support, whose full-length relation is the only form
+of the circuit here).  None of these depends on n: when d < n, Z_+(f)
+is the zero set in the support's span times R_+^(n - d), so a nonempty
+class is ALL_NONCOMPACT and its certificate is computed in R^n.
 
 feas_simplex's sign and parity rule decides all three sets of a simplex.
 For a circuit, Z* is the positive-orthant question on every orthant of
@@ -36,7 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .discriminant import _degenerate_point, _disc_sign
+from .discriminant import _degenerate_point
+from .exactsign import binomial_sign
 from .geometry import SupportAnalysis, analyze_support, facet_complements, interior_point
 from .intlattice import primitive_vector
 from .sparsepoly import SparsePolynomial
@@ -131,6 +132,21 @@ def feas_simplex(f: SparsePolynomial, an: SupportAnalysis | None = None) -> Feas
     return FeasibilityReport("empty", "empty", "empty", EMPTY)
 
 
+def _caged_sign(m, coeffs):
+    """The sign of |c_i| minus the circuit number when the circuit of
+    ``m`` is caged (i = interior_point(m), and every other term j with
+    m_j != 0 has the sign opposite to c_i), None otherwise: the integer
+    comparison |c_i|^|m_i| prod |m_j|^|m_j| vs |m_i|^|m_i| prod |c_j|^|m_j|."""
+    i = interior_point(m)
+    on = [j for j, v in enumerate(m) if v]
+    if i is None or any((coeffs[j] > 0) == (coeffs[i] > 0) for j in on if j != i):
+        return None
+    left = [abs(coeffs[j] if j == i else m[j]) for j in on]
+    right = [abs(m[j] if j == i else coeffs[j]) for j in on]
+    e = [abs(m[j]) for j in on]
+    return binomial_sign(left, right, e, e)
+
+
 def _circuit_class(m, coeffs):
     """The class of Z_+ for ``coeffs`` on d + 2 points whose one affine
     relation is ``m`` (zero off their circuit), in their own span of
@@ -146,25 +162,15 @@ def _circuit_class(m, coeffs):
     if mixed:
         return ALL_NONCOMPACT, mixed
 
+    sign = _caged_sign(m, coeffs)
     # Step 2: a pyramid over the circuit terms, whose facets step 1 saw
-    idx = [j for j, v in enumerate(m) if v]
-    if len(idx) < len(m):
-        base, _ = _circuit_class([m[j] for j in idx], [coeffs[j] for j in idx])
-        return NONEMPTY_UNCLASSIFIED if base == COMPACT_SPHERE else EMPTY, None
-
+    if 0 in m:
+        return NONEMPTY_UNCLASSIFIED if sign == 1 else EMPTY, None
     # Step 3: the whole support is the circuit
-    ip = interior_point(m)
-    if ip is not None:
-        signs = [1 if c > 0 else -1 for c in coeffs]
-        ends = [s for k, s in enumerate(signs) if k != ip]
-        if len(coeffs) == 3 and ends[0] != ends[1]:
-            return POINT_MULT_1, None  # d = 1: the segment's ends differ
-        if all(s != signs[ip] for s in ends):  # a caged alternation
-            sign = _disc_sign(m, [-c for c in coeffs] if signs[ip] > 0 else coeffs)
-            if sign == 0:
-                return SINGULAR_POINT, None
-            if sign == (1 if m[ip] % 2 == 0 else -1):
-                return COMPACT_SPHERE, None
+    if sign is not None:
+        return (EMPTY, SINGULAR_POINT, COMPACT_SPHERE)[sign + 1], None
+    if len(coeffs) == 3 and min(coeffs) < 0 < max(coeffs):
+        return POINT_MULT_1, None  # d = 1: the segment's ends differ
     return EMPTY, None
 
 
@@ -196,14 +202,16 @@ def feas_circuit(f: SparsePolynomial, an: SupportAnalysis | None = None) -> Feas
     g the circuit terms, so Z_+ is a graph, or an open-simplex bundle,
     over {-s g > 0}.  Each facet of g, with the apexes added, is a facet
     that step 1 saw, so g alone is EMPTY, SINGULAR_POINT or
-    COMPACT_SPHERE, and the pyramid is nonempty exactly when g is
-    COMPACT_SPHERE (reported NONEMPTY_UNCLASSIFIED).
+    COMPACT_SPHERE, and the pyramid is nonempty (reported
+    NONEMPTY_UNCLASSIFIED) exactly when g is COMPACT_SPHERE: by step 3,
+    when g is caged and |c_i| exceeds its circuit number.
 
-    Step 3: for d = 1 the segment's two ends of different signs give one
-    simple root.  Otherwise a caged sign alternation routes through the
-    circuit discriminant (vanishing: one singular point, certified by
-    degenerate_point; matching sign: a compact sphere).  Everything else
-    is empty.
+    Step 3: in a caged circuit, the interior term i of sign opposite to
+    every other term's, |c_i| below the circuit number
+    Theta = |m_i| prod_j (|c_j| / |m_j|)^(|m_j| / |m_i|) leaves Z_+ empty,
+    equal makes one singular point (certified by degenerate_point) and
+    above a compact sphere.  Otherwise, for d = 1 the segment's two ends
+    of different signs give one simple root, and all else is empty.
 
     Z_+(f) is the zero set in A's span times R_+^(n - d), so when d < n
     every nonempty class becomes ALL_NONCOMPACT, with the same

@@ -219,14 +219,16 @@ def evaluate(f: SparsePolynomial, x: Sequence) -> Fraction:
     """Exact value of f at a rational point.
 
     Coordinates must be nonzero wherever a term carries a negative exponent
-    (ZeroDivisionError otherwise, via exact rational arithmetic).
+    (ZeroDivisionError naming the coordinate otherwise).
     """
     if len(x) != f.n:
         raise ValueError("point dimension mismatch")
     total = Fraction(0)
     for t in f.terms:
         val = Fraction(t.coefficient)
-        for xi, e in zip(x, t.exponents):
+        for i, (xi, e) in enumerate(zip(x, t.exponents)):
+            if e < 0 and xi == 0:
+                raise ZeroDivisionError(f"x{i + 1} = 0 under the negative exponent {e}")
             if e:
                 val *= Fraction(xi) ** e
         total += val

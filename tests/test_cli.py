@@ -249,6 +249,22 @@ def test_reduce_sat3_header_guard(tmp_path, capsys, monkeypatch, header, named, 
     assert named in captured.err
 
 
+@pytest.mark.parametrize("body", [
+    "1 -2 3 0 -1 2 -3 0\n",
+    "1 -2\n3 0 -1 2\n-3 0\n",
+    "1 -2 3 0\n-1 2 -3 0\n%\n0\n",
+    "1 -2 3 0 0\n\n-1 2 -3\n",
+], ids=["two-clauses-one-line", "split-clauses", "end-marker", "empty-clause-no-last-0"])
+def test_reduce_sat3_reads_dimacs_as_one_literal_stream(tmp_path, capsys, body):
+    one_per_line = tmp_path / "lines.cnf"
+    one_per_line.write_text("p cnf 3 2\n1 -2 3 0\n-1 2 -3 0\n")
+    cnf = tmp_path / "phi.cnf"
+    cnf.write_text("c layout\np cnf 3 2\n" + body)
+    code, payload = _run(capsys, "reduce", "sat3", "--dimacs", str(cnf))
+    assert code == 0
+    assert payload == _run(capsys, "reduce", "sat3", "--dimacs", str(one_per_line))[1]
+
+
 def test_reduce_shor(tmp_path, capsys):
     src = tmp_path / "system.json"
     src.write_text(json.dumps({
@@ -437,6 +453,14 @@ def test_oracle_product_rejects_zero_to_the_zero(capsys):
     (["oracle", "grid", "--expr", "x1 - 1", "--resolution", "1/2"], "--box"),
     (["oracle", "grid", "--expr", "x1 - 1", "--box", "0,2"], "--resolution"),
     (["feas", "--set", "positive"], "--expr or --file"),
+    # a malformed rational names its option, and a grid point at 0 under a
+    # negative exponent names its coordinate
+    (["oracle", "sturm", "--expr", "x1 - 1", "--lower", "1/0"], "--lower"),
+    (["oracle", "sturm", "--expr", "x1 - 1", "--upper", "one"], "--upper"),
+    (["oracle", "grid", "--expr", "x1 - 1", "--box", "0,1", "--resolution", "1/0"],
+     "--resolution"),
+    (["oracle", "grid", "--expr", "x1 - 1", "--box", "0,1/0", "--resolution", "1"], "--box"),
+    (["oracle", "grid", "--expr", "x1^-1 - 1", "--box", "-1,1", "--resolution", "1"], "x1 = 0"),
 ])
 def test_missing_option_is_one_error_line(tmp_path, capsys, argv, named):
     cnf = tmp_path / "header.cnf"
@@ -485,16 +509,26 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["text"] == "x1"
 
 
-def test_cli_imports_no_private_names():
-    tree = ast.parse((SRC / "sparsefeas" / "cli.py").read_text())
-    private = [
+def _private_imports(module):
+    tree = ast.parse((SRC / "sparsefeas" / f"{module}.py").read_text())
+    return [
         f"{node.module}.{alias.name}"
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
         if alias.name.startswith("_")
     ]
-    assert private == []
+
+
+def test_cli_imports_no_private_names():
+    assert _private_imports("cli") == []
+
+
+def test_feasibility_imports_only_the_degenerate_point_privately():
+    # the circuit rule reads no private sign from discriminant; the
+    # singular point comes from _degenerate_point, which does not check
+    # vanishing a second time
+    assert _private_imports("feasibility") == ["discriminant._degenerate_point"]
 
 
 @pytest.mark.parametrize("command", [("feas", "--set", "positive"), ("topology",)])

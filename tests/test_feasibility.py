@@ -144,6 +144,88 @@ def test_circuit_degenerate_pyramid():
     assert cls == NONEMPTY_UNCLASSIFIED
 
 
+def _circuit_or_pyramid(rng, n):
+    """n + 2 distinct points in [0, 6]^n spanning R^n, one in three (n > 1)
+    a pyramid whose d + 2 base points span only d < n coordinates, and
+    their affine relation from the Smith form, not from analyze_support."""
+    def point(d):
+        return tuple(rng.randint(0, 6) for _ in range(d)) + (0,) * (n - d)
+
+    while True:
+        d = rng.randint(1, n - 1) if n > 1 and rng.random() < 1 / 3 else n
+        pts = [point(d) for _ in range(d + 2)] + [point(n) for _ in range(n - d)]
+        M = [[1] * len(pts)] + [[p[k] for p in pts] for k in range(n)]
+        if len(set(pts)) == len(pts) and _rank(M) == n + 1:
+            return pts, _integer_kernel(M)[0]
+
+
+def _circuit_rule_reference(m, coeffs):
+    """The Z_+ class of a full-dimensional circuit or pyramid with relation
+    m: a facet A minus {p, q} (m_p > 0 > m_q) with mixed signs is
+    non-compact; a caged circuit compares the expanded integers
+    |c_i|^|m_i| prod |m_j|^|m_j| and |m_i|^|m_i| prod |c_j|^|m_j|; a mixed
+    trinomial has one simple root; a pyramid is nonempty exactly when its
+    base is a compact sphere."""
+    pos = [j for j, v in enumerate(m) if v > 0]
+    neg = [j for j, v in enumerate(m) if v < 0]
+    for p, q in itertools.product(pos, neg):
+        face = [c for j, c in enumerate(coeffs) if j not in (p, q)]
+        if min(face) < 0 < max(face):
+            return ALL_NONCOMPACT
+    cls = EMPTY
+    lone = [side[0] for side in (pos, neg) if len(side) == 1]
+    ends = [j for j in pos + neg if lone and j != lone[0]]
+    if lone and all(coeffs[j] * coeffs[lone[0]] < 0 for j in ends):
+        i = lone[0]
+        left, right = abs(coeffs[i]) ** abs(m[i]), abs(m[i]) ** abs(m[i])
+        for j in ends:
+            left *= abs(m[j]) ** abs(m[j])
+            right *= abs(coeffs[j]) ** abs(m[j])
+        cls = EMPTY if left < right else SINGULAR_POINT if left == right else COMPACT_SPHERE
+    elif len(m) == 3 and min(coeffs) < 0 < max(coeffs):
+        cls = POINT_MULT_1
+    if 0 in m:
+        return NONEMPTY_UNCLASSIFIED if cls == COMPACT_SPHERE else EMPTY
+    return cls
+
+
+def test_circuit_rule_matches_expanded_circuit_number():
+    # every sign pattern on seeded circuits and pyramids, n = 1..4, plus
+    # planted ties: ends s |m_j| and interior -s |m_i| put |c_i| on the
+    # circuit number, and apexes of sign s leave every facet one-signed
+    rng = random.Random(2828)
+    seen = collections.Counter()
+    while sum(seen.values()) < 2400:
+        n = rng.randint(1, 4)
+        pts, m = _circuit_or_pyramid(rng, n)
+        kind = "pyramid" if 0 in m else "circuit"
+        cases = [
+            (kind, [s * rng.randint(1, 30) for s in signs])
+            for signs in itertools.product((1, -1), repeat=n + 2)
+        ]
+        lone = [j for j, v in enumerate(m) if v and sum(w * v > 0 for w in m) == 1]
+        for s in (1, -1) * 4 if lone else ():  # caged draws beyond the patterns
+            cage = [s * rng.randint(1, 30) for _ in m]
+            cage[lone[0]] = -cage[lone[0]]
+            cases.append((kind, cage))
+        for s in (1, -1) if lone and max(map(abs, m)) <= 30 else ():
+            tie = [s * (abs(v) if v else rng.randint(1, 30)) for v in m]
+            tie[lone[0]] = -tie[lone[0]]
+            cases.append((kind + " tie", tie))
+        for label, coeffs in cases:
+            f = make_polynomial(n, list(zip(pts, coeffs)))
+            want = _circuit_rule_reference(m, coeffs)
+            assert classify_positive(f)[0] == want, (str(f), m)
+            seen[label, want] += 1
+    assert {cls for (label, cls) in seen if label.startswith("circuit")} == {
+        EMPTY, POINT_MULT_1, SINGULAR_POINT, COMPACT_SPHERE, ALL_NONCOMPACT
+    }
+    assert {cls for (label, cls) in seen if label.startswith("pyramid")} == {
+        EMPTY, NONEMPTY_UNCLASSIFIED, ALL_NONCOMPACT
+    }
+    assert seen["circuit tie", SINGULAR_POINT] and seen["pyramid tie", EMPTY]
+
+
 def _mixed_facets(f):
     """The reference scan's facet normals, in its sorted order, whose
     initial form is a simplex of n terms with mixed coefficient signs."""
