@@ -133,7 +133,7 @@ _SAT3_MAX_VARS = 1000
 def _read_dimacs(path: str) -> Sat3Formula:
     from .reductions import Sat3Formula
 
-    num_vars = 0
+    num_vars, num_clauses = 0, None
     lits = []  # the literals as one stream: each 0 ends a clause
     with open(path) as fh:
         for line in fh:
@@ -148,7 +148,7 @@ def _read_dimacs(path: str) -> Sat3Formula:
                     raise SparseFeasError(
                         f"bad DIMACS header {line!r}: expected 'p cnf <vars> <clauses>'"
                     )
-                num_vars = int(parts[2])
+                num_vars, num_clauses = int(parts[2]), int(parts[3])
                 if num_vars < 0:
                     raise PreconditionError(
                         f"bad DIMACS header {line!r}: negative variable count"
@@ -159,7 +159,12 @@ def _read_dimacs(path: str) -> Sat3Formula:
                     )
                 continue
             lits += map(int, line.split())
-    return Sat3Formula(num_vars, tuple(tuple(c) for nz, c in groupby(lits, key=bool) if nz))
+    clauses = tuple(tuple(c) for nz, c in groupby(lits, key=bool) if nz)
+    if num_clauses is not None and num_clauses != len(clauses):
+        raise SparseFeasError(
+            f"DIMACS header declares {num_clauses} clauses, the file holds {len(clauses)}"
+        )
+    return Sat3Formula(num_vars, clauses)
 
 
 def _system_json(F: PolySystem):

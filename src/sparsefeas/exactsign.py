@@ -34,8 +34,9 @@ most 2, and the geometric tail after the last nonzero power (at most 9/8
 of the next power) at most 2 more.  A series of t terms is thus exact to
 2t + 2 ulps; ``_log_fixed`` scales that by at most 2k + 2 and chooses
 guard so the width stays <= 2^(1-bits).  The atanh(1/3) enclosure is
-computed once per guard and cached.  Sums of logs are compared as exact
-integers at the finest dyadic scale of their enclosures.
+computed once per guard and cached, and ``_log_fixed`` keeps its 4,096
+most recently used (n, bits) enclosures.  Sums of logs are compared as
+exact integers at the finest dyadic scale of their enclosures.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations
 from math import gcd, prod
 
@@ -205,6 +206,7 @@ def _atanh_third(guard: int):
     return _atanh_fixed(1, 3, guard)
 
 
+@lru_cache(maxsize=4096)
 def _log_fixed(n: int, bits: int):
     """ln(n) for n >= 2 in fixed point: ``(low, width, guard)`` with
     low <= ln(n) * 2^guard <= low + width and width <= 2^(guard+1-bits).
@@ -224,19 +226,6 @@ def _log_fixed(n: int, bits: int):
     return 2 * k * ln2_low + 2 * z_low, width, guard
 
 
-_LOG_CACHE: dict = {}
-
-
-def _cached_log(n, bits):
-    key = (n, bits)
-    hit = _LOG_CACHE.get(key)
-    if hit is None:
-        hit = _log_fixed(n, bits)
-        if len(_LOG_CACHE) < 4096:
-            _LOG_CACHE[key] = hit
-    return hit
-
-
 def _max_bits() -> int:
     text = os.environ.get(_MAX_BITS_ENV)
     if text is None:
@@ -251,7 +240,7 @@ def _max_bits() -> int:
 
 
 def _log_terms(bases, exps, bits):
-    return [(exp, *_cached_log(base, bits)) for base, exp in zip(bases, exps) if exp and base != 1]
+    return [(exp, *_log_fixed(base, bits)) for base, exp in zip(bases, exps) if exp and base != 1]
 
 
 def _fixed_sum(terms, scale):
@@ -282,9 +271,9 @@ def binomial_sign(alphas, betas, us, vs) -> int:
 
 def _log_sign(alphas, betas, us, vs, max_bits) -> int:
     """binomial_sign by certified logs: enclosures at 32, 64, ... bits up
-    to max_bits, and one binomial_vanish call once they first overlap."""
+    to max_bits, and one binomial_vanish call once they first overlap.
+    Only an overlap leads to the next round, so the first is at 32 bits."""
     bits = 32
-    checked_equal = False
     while True:
         left = _log_terms(alphas, us, bits)
         right = _log_terms(betas, vs, bits)
@@ -295,10 +284,8 @@ def _log_sign(alphas, betas, us, vs, max_bits) -> int:
             return 1
         if l_high < r_low:
             return -1
-        if not checked_equal:
-            if binomial_vanish(alphas, betas, us, vs):
-                return 0
-            checked_equal = True
+        if bits == 32 and binomial_vanish(alphas, betas, us, vs):
+            return 0
         if 2 * bits > max_bits:
             gap = Fraction(min(l_high, r_high) - max(l_low, r_low), 1 << scale)
             raise PrecisionLimitError(bits, gap)

@@ -8,9 +8,9 @@ elimination with primitive rows (each new row divided by its content) of
 in a second, backward pass.  The support analysis runs on that
 elimination alone.  hermite_factor and smith_factor are kept for the
 lattice suite of the acceptance tests: extended-gcd row operations with
-cofactors from C-level gcd and modular inverse, one row operation where
-the pivot divides the entry, and Smith from alternating row and column
-Hermite forms.  Matrices are lists of lists of Python ints, row-major.
+cofactors from C-level gcd and modular inverse, and Smith from
+alternating row and column Hermite forms.  Matrices are lists of lists
+of Python ints, row-major.
 """
 
 from __future__ import annotations
@@ -102,16 +102,10 @@ def hermite_factor(M):
             continue
         H[row], H[pivot] = H[pivot], H[row]
         U[row], U[pivot] = U[pivot], U[row]
-        # kill entries below: one row operation when the pivot divides
-        # the entry, else the unimodular gcd rotation [[s, t], [-q, p]]
+        # kill entries below by the unimodular gcd rotation [[s, t], [-q, p]]
         for i in range(row + 1, n):
             a, b = H[row][col], H[i][col]
             if not b:
-                continue
-            if b % a == 0:
-                k = b // a
-                H[i] = [y - k * x for x, y in zip(H[row], H[i])]
-                U[i] = [y - k * x for x, y in zip(U[row], U[i])]
                 continue
             g, s, t = _egcd(a, b)
             p, q = a // g, b // g

@@ -48,15 +48,8 @@ def _deriv(p):
     return _trim([i * c for i, c in enumerate(p)][1:])
 
 
-def _content(p):
-    g = 0
-    for c in p:
-        g = gcd(g, c)
-    return g or 1
-
-
 def _primitive(p):
-    g = _content(p)
+    g = gcd(*p) or 1
     return [c // g for c in p]
 
 
@@ -88,21 +81,16 @@ def _poly_gcd(a, b):
 
 
 def _exact_div(a, b):
-    """Exact polynomial division over Q, returned as a primitive integer
-    polynomial (the inputs are known to divide)."""
-    a = [Fraction(c) for c in a]
-    out = [Fraction(0)] * (len(a) - len(b) + 1)
-    while len(a) >= len(b) and any(a):
-        shift = len(a) - len(b)
-        q = a[-1] / b[-1]
+    """Quotient of a by a primitive divisor b, computed in Z[x]: by Gauss's
+    lemma it has integer coefficients, so every division below is exact."""
+    a = list(a)
+    out = [0] * (len(a) - len(b) + 1)
+    for shift in reversed(range(len(out))):
+        q = a[shift + len(b) - 1] // b[-1]
         out[shift] = q
-        a = [c - q * (b[i - shift] if 0 <= i - shift < len(b) else 0) for i, c in enumerate(a)]
-        while a and a[-1] == 0:
-            a.pop()
-    denom = 1
-    for c in out:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    return _primitive([int(c * denom) for c in out])
+        for i, c in enumerate(b):
+            a[shift + i] -= q * c
+    return out
 
 
 def _eval(p, x):
@@ -155,6 +143,9 @@ def sturm_count(f: SparsePolynomial, lower=None, upper=None) -> int:
     PreconditionError, and lower == upper counts 0.  Counting happens on
     the squarefree part, so multiplicities never inflate the answer.  A
     degree above 1,000 raises ScaleLimitError before anything is built.
+    On a squarefree chain the variation count V is constant between roots
+    and drops by one at each root, where it already takes the value to its
+    right, so V(lower) - V(upper) counts (lower, upper] even at a root.
     """
     _check_bounds(lower, upper)
     p = _primitive(_trim(_dense(f)))
@@ -162,14 +153,6 @@ def sturm_count(f: SparsePolynomial, lower=None, upper=None) -> int:
         return 0
     g = _poly_gcd(p, _deriv(p))
     sf = _exact_div(p, g) if len(g) > 1 else p
-    extra = 0
-    if lower is not None and _eval(sf, Fraction(lower)) == 0:
-        sf = _exact_div(sf, [-Fraction(lower).numerator, Fraction(lower).denominator])
-    if upper is not None and _eval(sf, Fraction(upper)) == 0:
-        extra = 1
-        sf = _exact_div(sf, [-Fraction(upper).numerator, Fraction(upper).denominator])
-    if len(sf) <= 1:
-        return extra
     chain = _sturm_chain(sf)
     lo = (
         _variations_inf(chain, positive=False)
@@ -181,7 +164,7 @@ def sturm_count(f: SparsePolynomial, lower=None, upper=None) -> int:
         if upper is None
         else _variations_at(chain, Fraction(upper))
     )
-    return lo - hi + extra
+    return lo - hi
 
 
 def multiple_root_count(f: SparsePolynomial, lower=None, upper=None) -> int:
@@ -211,7 +194,9 @@ def grid_scan(f: SparsePolynomial, box, resolution):
     step.  Returns {"zero": point} or {"sign_change": (p, q)} on success,
     None when the scan is inconclusive.  Absence is never an emptiness
     proof.  Grids of more than 10^5 points raise ScaleLimitError before
-    any point is built.
+    any point is built.  A variable under a negative exponent is a pole
+    at 0: grid points where it is 0 are skipped, and no sign change is
+    paired across its sign.
     """
     if len(box) != f.n:
         raise PreconditionError("box dimension mismatch")
@@ -231,15 +216,18 @@ def grid_scan(f: SparsePolynomial, box, resolution):
             f"grid of {total} points exceeds the scan guard of {_GRID_MAX_POINTS}"
         )
     axes = [[lo + i * h for i in range(count)] for lo, count in zip(starts, counts)]
+    poles = [any(t.exponents[k] < 0 for t in f.terms) for k in range(f.n)]
     values: dict = {}
     for idx in product(*(range(len(a)) for a in axes)):
         point = tuple(axes[k][i] for k, i in enumerate(idx))
+        if any(pole and x == 0 for pole, x in zip(poles, point)):
+            continue
         v = evaluate(f, point)
         if v == 0:
             return {"zero": point}
         values[idx] = v
         for k in range(f.n):
-            if idx[k] == 0:
+            if idx[k] == 0 or (poles[k] and axes[k][idx[k] - 1] < 0 < point[k]):
                 continue
             prev = idx[:k] + (idx[k] - 1,) + idx[k + 1 :]
             w = values.get(prev)

@@ -265,6 +265,36 @@ def test_reduce_sat3_reads_dimacs_as_one_literal_stream(tmp_path, capsys, body):
     assert payload == _run(capsys, "reduce", "sat3", "--dimacs", str(one_per_line))[1]
 
 
+@pytest.mark.parametrize("header, body, named", [
+    ("p cnf 3 5", "1 -2 3 0\n", "declares 5 clauses, the file holds 1"),
+    ("p cnf 3 1", "1 -2 3 0\n-1 2 -3 0\n", "declares 1 clauses, the file holds 2"),
+    ("p cnf 3 2", "1 -2 3 0\n", "declares 2 clauses, the file holds 1"),
+], ids=["truncated", "extra-clause", "one-short"])
+def test_reduce_sat3_checks_the_clause_count(tmp_path, capsys, header, body, named):
+    cnf = tmp_path / "phi.cnf"
+    cnf.write_text(f"{header}\n{body}")
+    code = run(["reduce", "sat3", "--dimacs", str(cnf)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: DIMACS header {named}\n"
+
+
+@pytest.mark.parametrize("expr, box, resolution, certificate", [
+    ("x1^-1", "-1,1", "2/3", None),
+    ("x1^-1 + x1 - 3", "-2,2", "1/2", None),
+    ("x1^-1 + x1 - 3", "-2,2", "1/4", {"sign_change": [["1/4"], ["1/2"]]}),
+    ("x1^-1 - 1", "-1,1", "1", {"zero": ["1"]}),
+    ("x1^2 - 2", "-2,2", "1/2", {"sign_change": [["-3/2"], ["-1"]]}),
+], ids=["pole-straddled", "zero-on-grid", "root-found", "root-at-grid-point", "polynomial"])
+def test_oracle_grid_skips_laurent_poles(capsys, expr, box, resolution, certificate):
+    # grid points at 0 under a negative exponent are skipped, and no sign
+    # change is paired across such a pole
+    code, payload = _run(
+        capsys, "oracle", "grid", "--expr", expr, "--box", box, "--resolution", resolution
+    )
+    assert code == 0 and payload == {"certificate": certificate}
+
+
 def test_reduce_shor(tmp_path, capsys):
     src = tmp_path / "system.json"
     src.write_text(json.dumps({
@@ -453,14 +483,12 @@ def test_oracle_product_rejects_zero_to_the_zero(capsys):
     (["oracle", "grid", "--expr", "x1 - 1", "--resolution", "1/2"], "--box"),
     (["oracle", "grid", "--expr", "x1 - 1", "--box", "0,2"], "--resolution"),
     (["feas", "--set", "positive"], "--expr or --file"),
-    # a malformed rational names its option, and a grid point at 0 under a
-    # negative exponent names its coordinate
+    # a malformed rational names its option
     (["oracle", "sturm", "--expr", "x1 - 1", "--lower", "1/0"], "--lower"),
     (["oracle", "sturm", "--expr", "x1 - 1", "--upper", "one"], "--upper"),
     (["oracle", "grid", "--expr", "x1 - 1", "--box", "0,1", "--resolution", "1/0"],
      "--resolution"),
     (["oracle", "grid", "--expr", "x1 - 1", "--box", "0,1/0", "--resolution", "1"], "--box"),
-    (["oracle", "grid", "--expr", "x1^-1 - 1", "--box", "-1,1", "--resolution", "1"], "x1 = 0"),
 ])
 def test_missing_option_is_one_error_line(tmp_path, capsys, argv, named):
     cnf = tmp_path / "header.cnf"

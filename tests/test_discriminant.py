@@ -326,3 +326,12 @@ def test_caged_vanish_cost_does_not_grow_with_exponents():
     start = time.monotonic()
     assert adisc_vanish(CircuitDiscriminant(circuit, coeffs))
     assert time.monotonic() - start < 0.5
+
+
+@pytest.mark.parametrize("text", ["x1^2 - 3*x1 + 1", "x1^2 + x1 + 1"])
+def test_discriminant_input_guards(text):
+    # degenerate_point needs a vanishing discriminant, here of either sign
+    with pytest.raises(PreconditionError) as info:
+        degenerate_point(_disc(parse(text)))
+    assert type(info.value) is PreconditionError
+    assert str(info.value) == "discriminant does not vanish at these coefficients"

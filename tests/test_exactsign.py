@@ -552,3 +552,15 @@ def test_huge_exponents_never_expand(monkeypatch):
     assert not binomial_vanish([3], [2], [1], [2**62])
     assert not binomial_vanish([2], [1], [2**62], [2**62])
     assert len(logs) == 12
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: gcd_free_basis([6, 0]), "gcd_free_basis requires integers >= 1"),
+    (lambda: binomial_vanish([2], [3, 5], [1], [1]), "product description lists must share a length"),
+    (lambda: binomial_vanish([], [], [], []), "empty product description"),
+    (lambda: binomial_sign([2], [3], [-1], [1]), "exponents must be natural numbers"),
+], ids=["basis-entry-below-1", "lengths", "empty", "negative-exponent"])
+def test_exactsign_input_guards(call, message):
+    with pytest.raises(PreconditionError) as info:
+        call()
+    assert type(info.value) is PreconditionError and str(info.value) == message

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from sparsefeas import intlattice
 from sparsefeas.intlattice import (
     _egcd,
@@ -270,3 +272,12 @@ def test_smith_factor_matches_euclid_cofactors(monkeypatch):
     got = [smith_factor(m) for m in cases]
     monkeypatch.setattr(intlattice, "_egcd", _egcd_reference)
     assert got == [smith_factor(m) for m in cases]
+
+
+@pytest.mark.parametrize("M, det", [
+    ([], 1),
+    ([[0, 1], [0, 2]], 0),
+], ids=["empty", "zero-column"])
+def test_determinant_edge_cases(M, det):
+    # the empty product, and a column with no pivot to swap in
+    assert determinant(M) == det

@@ -227,3 +227,14 @@ def test_sat3_exact_output():
     assert [to_text(f) for f in out.polynomials] == [
         "-x3 + 2*x1*x3 - x1^2*x3", "x1 - x1^2", "x2 - x2^2", "x3 - x3^2",
     ]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Sat3Formula(3, ((1, -2),)), "every clause needs exactly 3 literals"),
+    (lambda: Sat3Formula(2, ((1, -2, 3),)), "literal 3 out of range"),
+    (lambda: PolySystem(()), "empty polynomial system"),
+], ids=["two-literal-clause", "literal-out-of-range", "empty-system"])
+def test_reductions_input_guards(call, message):
+    with pytest.raises(PreconditionError) as info:
+        call()
+    assert type(info.value) is PreconditionError and str(info.value) == message

@@ -10,6 +10,8 @@ import pytest
 from sparsefeas.errors import ParseError, PreconditionError, ZeroPolynomialError
 from sparsefeas.sparsepoly import (
     _MAX_INDEX,
+    SparsePolynomial,
+    Term,
     evaluate,
     from_json,
     make_polynomial,
@@ -348,3 +350,16 @@ def test_parse_matches_reference():
         assert got == want, text
         parsed += not isinstance(want, tuple)
     assert guarded > 0 and parsed > 20_000, (guarded, parsed)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Term((1,), 0), ValueError, "zero coefficient in Term"),
+    (lambda: SparsePolynomial(1, ()), ZeroPolynomialError, "polynomial has no terms"),
+    (lambda: SparsePolynomial(1, (Term((1,), 1), Term((1,), 2))), ValueError,
+     "duplicate exponent vector (1,)"),
+    (lambda: evaluate(parse("x1 + 1"), (1, 2)), ValueError, "point dimension mismatch"),
+], ids=["zero-coefficient", "no-terms", "repeated-exponent", "point-dimension"])
+def test_sparsepoly_input_guards(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
