@@ -22,17 +22,15 @@ taken as exponents on a gcd-free basis of the right-hand sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 
-from .errors import NoRealSolutionError, NotACircuitError, PreconditionError
+from .errors import FrozenRecord, NoRealSolutionError, NotACircuitError, PreconditionError
 from .exactsign import binomial_sign, binomial_vanish, gcd_free_basis
 from .geometry import SupportAnalysis, interior_point
 
 
-@dataclass(frozen=True)
-class CircuitDiscriminant:
+class CircuitDiscriminant(FrozenRecord):
     """A circuit, the SupportAnalysis of its points (geometry.find_circuit
     gives it), together with nonzero integer coefficients."""
 
@@ -82,8 +80,7 @@ def adisc_sign(D: CircuitDiscriminant) -> int:
     return ls * binomial_sign([abs(b) for b in left], [abs(b) for b in right], e, e)
 
 
-@dataclass(frozen=True)
-class DegeneratePoint:
+class DegeneratePoint(FrozenRecord):
     """The degenerate point of a vanished discriminant, positive orthant.
 
     Coordinates are zeta_k = prod_b rhos[b] ** (mixing[k][b] / orders[b]),

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the base of its
+frozen value types."""
 
 
 class SparseFeasError(Exception):
@@ -51,3 +52,51 @@ class PrecisionLimitError(SparseFeasError):
         )
         self.bits = bits
         self.gap = gap
+
+
+class FrozenRecord:
+    """Base of the package's immutable value types, standing in for
+    ``dataclasses.dataclass(frozen=True)``, whose import loads ``inspect``
+    and took nearly a third of ``import sparsefeas``.
+
+    The fields are the class's annotations, in order, and a class-level
+    value is a field's default.  Each subclass gets an ``__init__``
+    compiled once, taking the fields by position or keyword, that stores
+    them straight into the instance ``__dict__`` and then calls
+    ``__post_init__`` if the class has one.  As for a frozen dataclass,
+    assigning or deleting an attribute raises AttributeError, an instance
+    equals only instances of its own class with equal fields, hashes as
+    the tuple of its fields and prints as ``Name(field=value, ...)``; the
+    ``__dict__`` also holds what ``functools.cached_property`` stores.
+    """
+
+    def __init_subclass__(cls):
+        cls._fields = names = tuple(cls.__annotations__)
+        params = ", ".join(f"{f}=__cls.{f}" if f in vars(cls) else f for f in names)
+        body = "".join(f"    __d[{f!r}] = {f}\n" for f in names)
+        if hasattr(cls, "__post_init__"):
+            body += "    self.__post_init__()\n"
+        namespace = {"__cls": cls}
+        exec(f"def __init__(self, {params}):\n    __d = self.__dict__\n{body}", namespace)
+        cls.__init__ = namespace["__init__"]
+
+    def _values(self):
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={self.__dict__[f]!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -42,13 +42,12 @@ exact integers at the finest dyadic scale of their enclosures.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import combinations
 from math import gcd, prod
 
-from .errors import PreconditionError, PrecisionLimitError
+from .errors import FrozenRecord, PreconditionError, PrecisionLimitError
 
 _MAX_BITS_ENV = "FEWNO_MAX_BITS"
 _DEFAULT_MAX_BITS = 1 << 20
@@ -56,8 +55,7 @@ _DEFAULT_MAX_BITS = 1 << 20
 _EXPAND_BITS = 1 << 12
 
 
-@dataclass(frozen=True)
-class GcdFreeBasis:
+class GcdFreeBasis(FrozenRecord):
     """Pairwise-coprime integers > 1 with a factorization of each input.
 
     input i reconstructs exactly as prod_j gammas[j] ** exponent_matrix[i][j].

@@ -32,10 +32,9 @@ circuit's own stratum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PreconditionError
+from .errors import FrozenRecord, PreconditionError
 from .discriminant import _degenerate_point
 from .exactsign import binomial_sign
 from .geometry import SupportAnalysis, analyze_support, facet_complements, interior_point
@@ -50,8 +49,7 @@ ALL_NONCOMPACT = "ALL_NONCOMPACT"
 NONEMPTY_UNCLASSIFIED = "NONEMPTY_UNCLASSIFIED"
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(FrozenRecord):
     """Verdicts for the three root sets plus a Z_+ classification.
 
     Verdicts are "empty", "nonempty", or None when not evaluated.  The

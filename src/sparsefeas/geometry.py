@@ -14,16 +14,14 @@ which the interior point and the facets are read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import PreconditionError
+from .errors import FrozenRecord, PreconditionError
 from .intlattice import echelon_rows, echelon_solution
 from .sparsepoly import PointSet
 
 
-@dataclass(frozen=True)
-class SupportAnalysis:
+class SupportAnalysis(FrozenRecord):
     """One echelon elimination with primitive rows of the rows (1 | a_j)
     of a support (intlattice.echelon_rows), read by every decider.  It has
     rank = affine dimension + 1 pivot rows; its zero rows leave the

@@ -15,14 +15,12 @@ integer coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-from .errors import PreconditionError, ScaleLimitError
+from .errors import FrozenRecord, PreconditionError, ScaleLimitError
 from .sparsepoly import SparsePolynomial, make_polynomial
 
 
-@dataclass(frozen=True)
-class Sat3Formula:
+class Sat3Formula(FrozenRecord):
     """A 3-CNF formula: positive literal i is +i, negated is -i."""
 
     num_vars: int
@@ -37,8 +35,7 @@ class Sat3Formula:
                     raise PreconditionError(f"literal {lit} out of range")
 
 
-@dataclass(frozen=True)
-class PolySystem:
+class PolySystem(FrozenRecord):
     """A non-empty list of polynomials over shared variables."""
 
     polynomials: tuple[SparsePolynomial, ...]

@@ -29,14 +29,12 @@ from __future__ import annotations
 import re
 import sys
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParseError, PreconditionError, ZeroPolynomialError
+from .errors import FrozenRecord, ParseError, PreconditionError, ZeroPolynomialError
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(FrozenRecord):
     """One monomial: coefficient times x^exponents, coefficient != 0."""
 
     exponents: tuple[int, ...]
@@ -47,8 +45,7 @@ class Term:
             raise ValueError("zero coefficient in Term")
 
 
-@dataclass(frozen=True)
-class SparsePolynomial:
+class SparsePolynomial(FrozenRecord):
     """An n-variate polynomial with pairwise distinct exponent vectors."""
 
     n: int
@@ -72,8 +69,7 @@ class SparsePolynomial:
         return any(e < 0 for t in self.terms for e in t.exponents)
 
 
-@dataclass(frozen=True)
-class PointSet:
+class PointSet(FrozenRecord):
     """An ordered list of pairwise distinct integer points in Z^n."""
 
     points: tuple[tuple[int, ...], ...]

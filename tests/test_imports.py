@@ -2,12 +2,15 @@
 
 The decision modules load with the package; the checkers (``oracle``) and
 the reduction gadgets (``reductions``) load on first use of one of their
-names, and only the CLI subcommands that use them import them.
+names, and only the CLI subcommands that use them import them.  Nothing
+loads ``dataclasses`` or the ``inspect`` it pulls in: the value types are
+``errors.FrozenRecord`` subclasses.
 """
 
 import os
 import subprocess
 import sys
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -23,21 +26,23 @@ LAZY = {
     "oracle": ("exact_product_compare", "grid_scan", "multiple_root_count", "sturm_count"),
     "reductions": ("PolySystem", "Sat3Formula", "sat3_to_system", "shor_normal_form", "sos_aggregate"),
 }
+# stdlib modules that cost more at start-up than anything they would do here
+HEAVY = {"dataclasses", "inspect"}
 
 
-def _python(*argv):
+def _python(*argv, cwd=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60,
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60, cwd=cwd,
     )
     assert proc.returncode == 0, proc.stderr
     return proc
 
 
-def _imported(*argv):
+def _imported(*argv, cwd=None):
     """The modules that ``python -X importtime <argv>`` reports loading."""
-    err = _python("-X", "importtime", *argv).stderr
+    err = _python("-X", "importtime", *argv, cwd=cwd).stderr
     return {
         line.rsplit("|", 1)[1].strip()
         for line in err.splitlines()
@@ -45,21 +50,31 @@ def _imported(*argv):
     }
 
 
+@cache
+def _interpreter_modules():
+    """What a bare interpreter loads, site hooks included."""
+    return frozenset(_imported("-c", "pass"))
+
+
 def test_import_loads_exactly_the_decision_modules():
     loaded = _imported("-S", "-c", "import sparsefeas")
     ours = {m for m in loaded if m.split(".")[0] == "sparsefeas"}
     assert ours == {"sparsefeas", *(f"sparsefeas.{m}" for m in DECISION_MODULES)}
     assert "json" not in loaded
+    assert not HEAVY & loaded
 
 
 @pytest.mark.parametrize("argv, uses", [
     (["parse", "--expr", "x1 + 1"], set()),
     (["feas", "--set", "positive", "--expr", "x1^2 - 2*x1 + 1"], set()),
     (["oracle", "sturm", "--expr", "x1^2 - 2"], {"oracle"}),
+    (["reduce", "sat3", "--dimacs", "phi.cnf"], {"reductions"}),
 ])
-def test_cli_subcommand_loads_only_what_it_uses(argv, uses):
-    loaded = _imported("-m", "sparsefeas.cli", *argv)
+def test_cli_subcommand_loads_only_what_it_uses(argv, uses, tmp_path):
+    (tmp_path / "phi.cnf").write_text("p cnf 3 1\n1 -2 3 0\n")
+    loaded = _imported("-m", "sparsefeas.cli", *argv, cwd=tmp_path)
     assert {m for m in LAZY if f"sparsefeas.{m}" in loaded} == uses
+    assert not HEAVY & (loaded - _interpreter_modules())
 
 
 def test_lazy_names_import_after_a_bare_import():
@@ -85,6 +100,16 @@ def test_lazy_names_are_listed_and_resolve():
         for name in group:
             assert name in listed
             assert getattr(sparsefeas, name) is getattr(sys.modules[f"sparsefeas.{module}"], name)
+
+
+def test_submodule_attribute_resolves_through_getattr(monkeypatch):
+    # once imported, a submodule is bound on the package, so only an
+    # unbound attribute reaches the package __getattr__
+    for module in LAZY:
+        assert getattr(sparsefeas, module) is sys.modules[f"sparsefeas.{module}"]
+        monkeypatch.delattr(sparsefeas, module)
+        assert module not in vars(sparsefeas)
+        assert getattr(sparsefeas, module) is sys.modules[f"sparsefeas.{module}"]
 
 
 def test_unknown_name_raises_attribute_error_naming_the_module():
