@@ -28,6 +28,7 @@ from math import gcd, prod
 from .errors import FrozenRecord, NoRealSolutionError, NotACircuitError, PreconditionError
 from .exactsign import binomial_sign, binomial_vanish, gcd_free_basis
 from .geometry import SupportAnalysis, interior_point
+from .intlattice import mat_mul
 
 
 class CircuitDiscriminant(FrozenRecord):
@@ -147,8 +148,7 @@ def _degenerate_point(an: SupportAnalysis, c) -> DegeneratePoint:
     nums, dens = basis.exponent_matrix[:len(r)], basis.exponent_matrix[len(r):]
     e = [[p - q for p, q in zip(num, den)] for num, den in zip(nums, dens)]
     P = sum(an.solution[0])  # the scale D of the solution: row 0 sums to it
-    E = [[sum(s * ej[b] for s, ej in zip(row, e)) for b in range(len(basis.gammas))]
-         for row in an.solution[1:]]
+    E = mat_mul(an.solution[1:], e)
     cols = [b for b in range(len(basis.gammas)) if any(row[b] for row in E)]
     gs = [gcd(P, *(row[b] for row in E)) for b in cols]
     # rho^(e/o) = s^(e/(o/p)) for rho = s^p, and (o/p, e) stays coprime

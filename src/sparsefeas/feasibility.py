@@ -24,7 +24,7 @@ class is ALL_NONCOMPACT and its certificate is computed in R^n.
 
 feas_simplex's sign and parity rule decides all three sets of a simplex.
 For a circuit, Z* is the positive-orthant question on every orthant of
-R^n, decided by F_2 tests on the terms' sign generators and at most 2^4
+R^n, decided by F_2 tests on the terms' sign generators and at most 3
 sign classes rather than the 2^n orthants.  Once Z* is empty, Z_R has
 only two more places to look: the origin and the singular point of the
 circuit's own stratum.
@@ -33,6 +33,7 @@ circuit's own stratum.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 
 from .errors import FrozenRecord, PreconditionError
 from .discriminant import _degenerate_point
@@ -47,6 +48,7 @@ SINGULAR_POINT = "SINGULAR_POINT"
 COMPACT_SPHERE = "COMPACT_SPHERE"
 ALL_NONCOMPACT = "ALL_NONCOMPACT"
 NONEMPTY_UNCLASSIFIED = "NONEMPTY_UNCLASSIFIED"
+_ZERO, _ONE = Fraction(0), Fraction(1)  # the coordinates of a simplex's root off (R*)^n
 
 
 class FeasibilityReport(FrozenRecord):
@@ -98,8 +100,12 @@ def feas_simplex(f: SparsePolynomial, an: SupportAnalysis | None = None) -> Feas
 
     Mixed coefficient signs make everything nonempty; otherwise an odd
     coordinate among the exponent differences rescues the nonzero and
-    real sets; otherwise only the origin can be a root.  ``an`` is the
-    support's analysis, when the caller has it.
+    real sets.  Otherwise the terms left at a real point share one sign,
+    and a root can set to 0 only free coordinates, under no negative
+    exponent: there is one exactly when every term has a positive free
+    exponent, at the point with the free coordinates 0 and the rest 1 (for
+    a polynomial, the origin).  ``an`` is the support's analysis, when the
+    caller has it.
     """
     an = an or analyze_support(t.exponents for t in f.terms)
     if len(f.terms) != an.rank:
@@ -121,11 +127,10 @@ def feas_simplex(f: SparsePolynomial, an: SupportAnalysis | None = None) -> Feas
         flipped = [c * (-1) ** (t.exponents[i] % 2) for c, t in zip(coeffs, f.terms)]
         cert = _sign_change_pair(an, flipped, flip=i)
         return FeasibilityReport("empty", "nonempty", "nonempty", EMPTY, cert)
-    if f.is_laurent:
-        return FeasibilityReport("empty", "empty", "empty", EMPTY)
-    origin_root = all(any(e > 0 for e in t.exponents) for t in f.terms)
-    if origin_root:
-        cert = tuple([Fraction(0)] * f.n)
+    exps = [t.exponents for t in f.terms]
+    free = [min(col) >= 0 for col in zip(*exps)]
+    if all(any(compress(a, free)) for a in exps):  # free exponents are >= 0
+        cert = tuple(_ZERO if z else _ONE for z in free)
         return FeasibilityReport("empty", "empty", "nonempty", EMPTY, cert)
     return FeasibilityReport("empty", "empty", "empty", EMPTY)
 
@@ -251,8 +256,11 @@ def feas_real_full(f: SparsePolynomial) -> FeasibilityReport:
     generators before it lists a span: with each one 0 or T, T has one
     sign; a generator nonconstant on a pair facet T - {p, q} fires the
     circuit rule's step 1.  Otherwise every generator is constant on every
-    pair facet, which leaves at most 2^4 sign vectors, and the circuit
-    rule decides each from m restricted to T and the signed |c_j|.
+    pair facet.  With more than three terms the facets overlap, so each
+    generator is constant on all of T or off the one term alone on its
+    side of m, which leaves at most one class up to sign (a three-term T
+    has at most three), and the circuit rule decides each from m
+    restricted to T and the signed |c_j|.
 
     Z_R adds the strata with some coordinates zero, each restricting f to
     the closed term set T of the terms whose support avoids them.  Once
@@ -283,6 +291,7 @@ def feas_real_full(f: SparsePolynomial) -> FeasibilityReport:
     neg = mask(lambda t: t.coefficient < 0)
     parity = [mask(lambda t: t.exponents[i] % 2) for i in range(f.n)]
     m = an.relation
+    pairs = facet_complements(m)  # m is zero off C, so these serve every T >= C
 
     def has_roots(T):
         """Whether the terms T, which hold C, have a root in some open
@@ -291,9 +300,7 @@ def feas_real_full(f: SparsePolynomial) -> FeasibilityReport:
         gens = flips | {neg & T}
         if gens <= {0, T}:
             return False  # one sign throughout
-        on = [j for j in range(len(terms)) if T >> j & 1]
-        mT = [m[j] for j in on]
-        facets = [T & ~(1 << on[p] | 1 << on[q]) for p, q in facet_complements(mT)]
+        facets = [T & ~(1 << p | 1 << q) for p, q in pairs]
         if any(g & F not in (0, F) for g in gens for F in facets):
             return True  # the circuit rule's step 1
         span = {0}
@@ -301,6 +308,8 @@ def feas_real_full(f: SparsePolynomial) -> FeasibilityReport:
             if col not in span:
                 span |= {v ^ col for v in span}
         classes = {min(x, x ^ T) for x in ((neg & T) ^ v for v in span)} - {0}
+        on = [j for j in range(len(terms)) if T >> j & 1]
+        mT = [m[j] for j in on]
         return any(
             _circuit_class(mT, [
                 (-1) ** (x >> j & 1) * abs(terms[j].coefficient) for j in on
@@ -348,13 +357,8 @@ def topology_report(f: SparsePolynomial) -> dict:
         "N_comp": int(cls in (POINT_MULT_1, SINGULAR_POINT, COMPACT_SPHERE)),
     }
     if n == 1:
-        counts = {
-            EMPTY: 0,
-            POINT_MULT_1: 1,
-            SINGULAR_POINT: 1,
-            COMPACT_SPHERE: 2,
-        }[cls]
-        report["positive_roots"] = counts
+        # every class at n = 1 is EMPTY or compact, and S⁰ is two points
+        report["positive_roots"] = report["N_comp"] + (cls == COMPACT_SPHERE)
         if cls == COMPACT_SPHERE:
             report["pair_label"] = "S⁰"
     # an EMPTY class may carry a point pair outside the positive orthant

@@ -14,7 +14,7 @@ from itertools import product
 from math import gcd, prod
 
 from .errors import PreconditionError, ScaleLimitError
-from .sparsepoly import SparsePolynomial, evaluate, make_polynomial
+from .sparsepoly import SparsePolynomial, evaluate
 
 # ---------------------------------------------------------------------------
 # dense integer univariate polynomial helpers (coefficient lists, low first)
@@ -110,30 +110,35 @@ def _sturm_chain(p):
     return [c for c in chain if c]
 
 
+def _variations(values):
+    """Sign changes along ``values``, zeros dropped."""
+    signs = [v > 0 for v in values if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
 def _variations_at(chain, x):
-    signs = []
-    for p in chain:
-        v = _eval(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    return _variations([_eval(p, x) for p in chain])
 
 
 def _variations_inf(chain, positive: bool):
-    signs = []
-    for p in chain:
-        lc = p[-1]
-        deg = len(p) - 1
-        s = 1 if lc > 0 else -1
-        if not positive and deg % 2 == 1:
-            s = -s
-        signs.append(s)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    """At +infinity each p has the sign of lc(p), at -infinity also times
+    (-1)^deg(p)."""
+    return _variations([p[-1] * (1 if positive else -1) ** (len(p) - 1) for p in chain])
 
 
 def _check_bounds(lower, upper):
     if lower is not None and upper is not None and Fraction(lower) > Fraction(upper):
         raise PreconditionError(f"lower bound {lower} exceeds upper bound {upper}")
+
+
+def _root_count(p, lower, upper):
+    """Distinct real roots in (lower, upper] of the dense primitive p of
+    degree >= 1, counted by the Sturm chain of its squarefree part."""
+    g = _poly_gcd(p, _deriv(p))
+    chain = _sturm_chain(_exact_div(p, g) if len(g) > 1 else p)
+    lo = _variations_inf(chain, False) if lower is None else _variations_at(chain, Fraction(lower))
+    hi = _variations_inf(chain, True) if upper is None else _variations_at(chain, Fraction(upper))
+    return lo - hi
 
 
 def sturm_count(f: SparsePolynomial, lower=None, upper=None) -> int:
@@ -149,35 +154,18 @@ def sturm_count(f: SparsePolynomial, lower=None, upper=None) -> int:
     """
     _check_bounds(lower, upper)
     p = _primitive(_trim(_dense(f)))
-    if len(p) <= 1:
-        return 0
-    g = _poly_gcd(p, _deriv(p))
-    sf = _exact_div(p, g) if len(g) > 1 else p
-    chain = _sturm_chain(sf)
-    lo = (
-        _variations_inf(chain, positive=False)
-        if lower is None
-        else _variations_at(chain, Fraction(lower))
-    )
-    hi = (
-        _variations_inf(chain, positive=True)
-        if upper is None
-        else _variations_at(chain, Fraction(upper))
-    )
-    return lo - hi
+    return _root_count(p, lower, upper) if len(p) > 1 else 0
 
 
 def multiple_root_count(f: SparsePolynomial, lower=None, upper=None) -> int:
-    """Number of distinct roots of multiplicity >= 2 in (lower, upper]."""
+    """Number of distinct roots of multiplicity >= 2 in (lower, upper]:
+    the distinct roots of gcd(f, f')."""
     _check_bounds(lower, upper)
     p = _primitive(_trim(_dense(f)))
     if len(p) <= 1:
         raise PreconditionError("constant polynomial")
     g = _poly_gcd(p, _deriv(p))
-    if len(g) <= 1:
-        return 0
-    gp = make_polynomial(1, [((i,), c) for i, c in enumerate(g) if c])
-    return sturm_count(gp, lower, upper)
+    return _root_count(g, lower, upper) if len(g) > 1 else 0
 
 
 # ---------------------------------------------------------------------------

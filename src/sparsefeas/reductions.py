@@ -113,13 +113,22 @@ def _literal(lit: int) -> dict:
     return x if lit > 0 else _add({(): 1}, x, scale=-1)
 
 
+# the output is dense in all its variables; this bounds its exponent
+# entries in reduce sat3 (1,000 variables' binomials hold 2 * 10^6), shor
+# (one 300-term univariate polynomial gives 1,338,624, 400 terms 2,384,824)
+# and sos (400 terms in 50 variables: 4,010,000, 13.6 MB of JSON)
+_MAX_ENTRIES = 2 * 10**6
+
+
 def sat3_to_system(phi: Sat3Formula) -> PolySystem:
     """Encode a 3-CNF formula as a polynomial system.
 
     Literals map to x_i or 1-x_i, disjunction composes as
     f OR g = f + g - f*g (left associated), and each clause contributes
     f_C - 1 while each variable contributes x_i(1-x_i).  Real roots of
-    the system are exactly the satisfying assignments.
+    the system are exactly the satisfying assignments.  Above 2 * 10^6
+    dense exponent entries (variables x output terms) it raises
+    ScaleLimitError before any polynomial is densified.
     """
     n = phi.num_vars
     polys = []
@@ -128,17 +137,14 @@ def sat3_to_system(phi: Sat3Formula) -> PolySystem:
         for lit in clause[1:]:
             g = _literal(lit)
             acc = _add(_add(acc, g), _mul(acc, g), scale=-1)
-        polys.append(_poly(_add(acc, {(): 1}, scale=-1), n))
-    for i in range(n):
-        polys.append(_poly({((i, 1),): 1, ((i, 2),): -1}, n))
-    return PolySystem(tuple(polys))
-
-
-# the output is dense in all its variables; this is the entry count the
-# reduce sat3 guard allows, and the bound of reduce shor (one 300-term
-# univariate polynomial gives 1,338,624 entries, 400 terms 2,384,824) and
-# of reduce sos (400 terms in 50 variables: 4,010,000, 13.6 MB of JSON)
-_MAX_ENTRIES = 2 * 10**6
+        polys.append(_add(acc, {(): 1}, scale=-1))
+    entries = n * (sum(map(len, polys)) + 2 * n)  # each variable adds a binomial
+    if entries > _MAX_ENTRIES:
+        raise ScaleLimitError(
+            f"{entries} exponent entries exceed the reduce sat3 guard of {_MAX_ENTRIES}"
+        )
+    polys += ({((i, 1),): 1, ((i, 2),): -1} for i in range(n))
+    return PolySystem(tuple(_poly(d, n) for d in polys))
 
 
 def shor_normal_form(F: PolySystem) -> PolySystem:

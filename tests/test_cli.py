@@ -1,8 +1,10 @@
 """End-to-end tests of the command line interface."""
 
 import ast
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,9 @@ from pathlib import Path
 import pytest
 
 from sparsefeas.cli import run
+from sparsefeas.geometry import analyze_support
+from sparsefeas.sparsepoly import to_text
+from test_feasibility import _random_real_instance
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -247,6 +252,21 @@ def test_reduce_sat3_header_guard(tmp_path, capsys, monkeypatch, header, named, 
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert named in captured.err
+
+
+def test_reduce_sat3_output_guard(tmp_path, capsys, monkeypatch):
+    # 1,000 variables pass the header guard, but two clauses (8 and 1
+    # terms) take the output past 2 * 10^6 exponent entries: refused
+    # before any polynomial is densified
+    monkeypatch.setattr("sparsefeas.reductions._poly", lambda d, n: pytest.fail("densified"))
+    cnf = tmp_path / "phi.cnf"
+    cnf.write_text("p cnf 1000 2\n1 2 3 0\n-1 -2 -3 0\n")
+    code = run(["reduce", "sat3", "--dimacs", str(cnf)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == (
+        "error: 2009000 exponent entries exceed the reduce sat3 guard of 2000000\n"
+    )
 
 
 @pytest.mark.parametrize("body", [
@@ -575,3 +595,30 @@ def test_witness_beyond_int_str_digit_limit(capsys, command):
     else:
         assert payload["classification"] == "ALL_NONCOMPACT" and "certificate" in payload
     assert sys.get_int_max_str_digits() == limit
+
+
+def test_cli_answers_match_recorded_hash(capsys):
+    # the answer-hash recipe (ROADMAP), cut to its first 200 instances and
+    # run through the CLI: parse, topology and feas on every set, then disc
+    # where the support's relation has no zero entry; sha256 over each
+    # call's argv, exit code and output, so any changed byte of JSON shows
+    rng = random.Random(24)
+    digest, calls = hashlib.sha256(), 0
+    for k in range(200):
+        f = _random_real_instance(rng, 1 + k % 6)
+        text = to_text(f)
+        argvs = [["parse", "--expr", text], ["topology", "--expr", text]]
+        argvs += [["feas", "--set", s, "--expr", text] for s in ("positive", "nonzero", "real")]
+        m = analyze_support(t.exponents for t in f.terms).relation
+        if m and all(m):
+            points = ";".join(",".join(map(str, t.exponents)) for t in f.terms)
+            coeffs = ",".join(str(t.coefficient) for t in f.terms)
+            argvs += [["disc", w, "--support", points, "--coeffs", coeffs] for w in ("sign", "vanish")]
+        for argv in argvs:
+            code = run(argv)
+            out, err = capsys.readouterr()
+            assert code == 0, (argv, err)
+            digest.update(repr((argv, code, out, err)).encode())
+            calls += 1
+    assert calls == 1174
+    assert digest.hexdigest()[:16] == "3c3abbda7d96b90c"

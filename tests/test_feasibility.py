@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from sparsefeas import intlattice
+from sparsefeas import feasibility, intlattice
 from sparsefeas.cli import run
 from sparsefeas.discriminant import CircuitDiscriminant, degenerate_point
 from sparsefeas.errors import PreconditionError
@@ -78,6 +78,37 @@ def test_simplex_origin_root():
     assert r.nonzero_reals == "empty"
     assert r.all_reals == "nonempty"
     assert r.certificate == (0, 0)
+
+
+def test_laurent_simplex_real_roots_match_grid_scan():
+    # one coefficient sign and even exponent differences: a real root
+    # needs zero coordinates, so the grid [-1, 1]^n at resolution 1 holds
+    # the candidate point (free coordinates 0, the rest 1), and such an f
+    # changes sign nowhere on it
+    rng = random.Random(31)
+    seen = collections.Counter()
+    for k in range(600):
+        n = 1 + k % 3
+        parity = [rng.randint(0, 1) for _ in range(n)]
+        pts = {tuple(b + 2 * rng.randint(-1, 1) for b in parity) for _ in range(rng.randint(1, n + 1))}
+        if analyze_support(pts).rank != len(pts):
+            continue
+        sign = rng.choice((1, -1))
+        f = make_polynomial(n, [(p, sign * rng.randint(1, 5)) for p in pts])
+        rep = feas_simplex(f)
+        scan = grid_scan(f, [(-1, 1)] * n, 1)
+        assert scan is None or "zero" in scan, str(f)
+        real = "empty" if scan is None else "nonempty"
+        assert (rep.nonzero_reals, rep.all_reals) == ("empty", real), str(f)
+        if scan is not None:
+            assert evaluate(f, rep.certificate) == 0, str(f)
+        seen[f.is_laurent, real] += 1
+    assert len(seen) == 4 and min(seen.values()) >= 20, seen
+    rep = feas_simplex(parse("3*x1^2*x2^-1"))
+    assert (rep.all_reals, rep.certificate) == ("nonempty", (0, 1))
+    assert feas_simplex(parse("x1^-2 + 1")) == FeasibilityReport("empty", "empty", "empty", EMPTY)
+    rep = feas_simplex(parse("x1^-2*x2^2 + x2^4"))
+    assert (rep.all_reals, rep.certificate) == ("nonempty", (1, 0))
 
 
 def test_simplex_univariate_point():
@@ -906,6 +937,30 @@ def test_real_full_is_feas_simplex_on_simplices():
             assert rep == _strata_reference(f), str(f)
         seen[rep.positive_orthant, rep.nonzero_reals, rep.all_reals] += 1
     assert len(seen) == 4 and min(seen.values()) > 10, seen
+
+
+def test_real_full_class_calls_per_closed_set(monkeypatch):
+    # once every sign generator is constant on every pair facet, the pair
+    # facets of a closed set of more than three terms overlap, so each
+    # generator is constant off one term or on all of them: at most one
+    # sign class up to sign is left, and a three-term circuit has three
+    runs = []  # [relation, calls]: one closed set's consecutive calls
+    inner = feasibility._circuit_class
+
+    def counted(m, coeffs):
+        if sys._getframe(1).f_code.co_name != "feas_circuit":  # the dispatch's calls
+            if runs and runs[-1][0] is m:
+                runs[-1][1] += 1
+            else:
+                runs.append([m, 1])
+        return inner(m, coeffs)
+
+    monkeypatch.setattr(feasibility, "_circuit_class", counted)
+    rng = random.Random(5)
+    for k in range(3000):
+        feas_real_full(_random_real_instance(rng, 2 + k % 9))
+    assert all(calls <= (1 if len(m) > 3 else 3) for m, calls in runs)
+    assert any(len(m) > 3 for m, _ in runs) and max(calls for _, calls in runs) == 2
 
 
 def test_real_full_refuses_laurent_simplex():

@@ -229,6 +229,18 @@ def test_sat3_exact_output():
     ]
 
 
+def test_sat3_size_guard(monkeypatch):
+    # 1,000 variables' binomials alone hold the 2 * 10^6 dense exponent
+    # entries the guard allows; one clause of 8 terms, or 3,000 variables,
+    # go past it and are refused before any polynomial is densified
+    assert len(sat3_to_system(Sat3Formula(1000, ())).polynomials) == 1000
+    monkeypatch.setattr("sparsefeas.reductions._poly", lambda d, n: pytest.fail("densified"))
+    with pytest.raises(ScaleLimitError, match="^2008000 exponent entries exceed the reduce sat3 guard"):
+        sat3_to_system(Sat3Formula(1000, ((1, 2, 3),)))
+    with pytest.raises(ScaleLimitError, match="^18000000 exponent entries"):
+        sat3_to_system(Sat3Formula(3000, ()))
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: Sat3Formula(3, ((1, -2),)), "every clause needs exactly 3 literals"),
     (lambda: Sat3Formula(2, ((1, -2, 3),)), "literal 3 out of range"),

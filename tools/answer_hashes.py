@@ -1,0 +1,41 @@
+"""Print the answer hash of the 30,000-instance recipe (see ROADMAP.md).
+
+Run from the repository root:
+
+    python tools/answer_hashes.py
+
+The recipe draws f = _random_real_instance(rng, 1 + k % 6) for k < 30,000
+from one rng = random.Random(24), with the instance generator of
+tests/test_feasibility.py, and hashes the concatenated repr(feas_real_full(f))
+with sha256.  The first 16 hex digits are printed.  A change that keeps
+every verdict, class and certificate keeps the hash; the test suite pins the
+same recipe cut to its first 3,000 instances.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+from sparsefeas import feas_real_full  # noqa: E402
+from test_feasibility import _random_real_instance  # noqa: E402
+
+INSTANCES = 30_000
+
+
+def main() -> None:
+    rng = random.Random(24)
+    digest = hashlib.sha256()
+    for k in range(INSTANCES):
+        f = _random_real_instance(rng, 1 + k % 6)
+        digest.update(repr(feas_real_full(f)).encode())
+    print(f"feas_real_full over {INSTANCES} instances: {digest.hexdigest()[:16]}")
+
+
+if __name__ == "__main__":
+    main()
