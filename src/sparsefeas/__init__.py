@@ -26,6 +26,7 @@ from .sparsepoly import (
     to_text,
 )
 from .feasibility import (
+    DominantPair,
     FeasibilityReport,
     classify_positive,
     feas_circuit,

@@ -23,7 +23,7 @@ from .discriminant import (
     adisc_vanish,
 )
 from .errors import PreconditionError, ScaleLimitError, SparseFeasError
-from .feasibility import EMPTY, classify_positive, feas_real_full, topology_report
+from .feasibility import EMPTY, DominantPair, classify_positive, feas_real_full, topology_report
 from .geometry import analyze_support
 from .sparsepoly import (
     PointSet,
@@ -45,6 +45,8 @@ def _encode(obj):
             coords = [str(c) for c in obj.coordinates]
             return coords[0] if len(coords) == 1 else coords
         return {"rhos": obj.rhos, "orders": obj.orders, "mixing": obj.mixing}
+    if isinstance(obj, DominantPair):  # never expanded
+        return {"t": str(obj.t), "w": obj.w, "flip": obj.flip}
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 

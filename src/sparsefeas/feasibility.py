@@ -22,7 +22,10 @@ of the circuit here).  None of these depends on n: when d < n, Z_+(f)
 is the zero set in the support's span times R_+^(n - d), so a nonempty
 class is ALL_NONCOMPACT and its certificate is computed in R^n.
 
-feas_simplex's sign and parity rule decides all three sets of a simplex.
+feas_simplex's sign and parity rule decides all three sets of a simplex,
+and certifies a sign change by a DominantPair: t = 1/N and two integer
+directions w, so that t^w are the points, kept symbolic because their
+coordinates have bit size linear in the exponents.
 For a circuit, Z* is the positive-orthant question on every orthant of
 R^n, decided by F_2 tests on the terms' sign generators and at most 3
 sign classes rather than the 2^n orthants.  Once Z* is empty, Z_R has
@@ -35,7 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress
 
-from .errors import FrozenRecord, PreconditionError
+from .errors import FrozenRecord, PreconditionError, ScaleLimitError
 from .discriminant import _degenerate_point
 from .exactsign import binomial_sign
 from .geometry import SupportAnalysis, analyze_support, facet_complements, interior_point
@@ -56,8 +59,9 @@ class FeasibilityReport(FrozenRecord):
 
     Verdicts are "empty", "nonempty", or None when not evaluated.  The
     certificate, when present, is one of: an exact rational root, a
-    sign-change pair of rational points, a facet normal, or a degenerate
-    point description.
+    DominantPair (a sign-change pair t^w in symbolic form, whose size is
+    polynomial in the input), a facet normal, or a degenerate point
+    description.
     """
 
     positive_orthant: str | None
@@ -67,32 +71,62 @@ class FeasibilityReport(FrozenRecord):
     certificate: object = None
 
 
-def _sign_change_pair(an: SupportAnalysis, coeffs, flip=None):
-    """Two points t^w > 0 where a polynomial with coefficients ``coeffs``
-    on the affinely independent support of ``an`` takes opposite signs:
-    where its first positive and its first negative term dominate.  The
-    columns S_j of an.solution sum to D e_0, so primitive(D e_0 - S_j) is
-    the affine function (c, w) with values 1 - e_j: w . (a_i - a_j) = c > 0
-    for all i != j, and t = 1/N with N = 1 + sum |c_i|.  The powers stay
-    integers until the last step: one Fraction t^w_k per distinct w_k,
-    1/N^w_k or N^-w_k.  Coordinate ``flip``, when given, is negated in
-    both points."""
+class DominantPair(FrozenRecord):
+    """A sign-change pair in symbolic form: the points x with x_k = t^w_k
+    for the two directions of ``w``, with coordinate ``flip``, when not
+    None, negated in both.  t = 1/N, so the record stays polynomial in the
+    input's size however large the exponents; equality, hash and repr use
+    these fields.  Iterating or indexing expands the two points into
+    Fractions, and raises ScaleLimitError when a coordinate could pass
+    MAX_BITS = 2^20 bits, bounded as |w_k| times the bit length of N."""
+
+    t: Fraction
+    w: tuple[tuple[int, ...], tuple[int, ...]]
+    flip: int | None = None
+
+    MAX_BITS = 1 << 20
+
+    def __iter__(self):
+        return iter(self._points())
+
+    def __getitem__(self, i):
+        return self._points()[i]
+
+    def _points(self):
+        """The two points: one Fraction t^w_k per distinct w_k, 1/N^w_k or
+        N^-w_k, so the powers stay integers until the last step."""
+        N = self.t.denominator
+        if max(abs(wk) for w in self.w for wk in w) * N.bit_length() > self.MAX_BITS:
+            raise ScaleLimitError(f"a sign-change point would pass {self.MAX_BITS} bits")
+        powers = {}
+        pair = []
+        for w in self.w:
+            for wk in w:
+                if wk not in powers:
+                    powers[wk] = Fraction(1, N**wk) if wk >= 0 else Fraction(N**-wk)
+            point = [powers[wk] for wk in w]
+            if self.flip is not None:
+                point[self.flip] = -point[self.flip]
+            pair.append(tuple(point))
+        return tuple(pair)
+
+
+def _sign_change_pair(an: SupportAnalysis, coeffs, flip=None) -> DominantPair:
+    """The DominantPair of a polynomial with coefficients ``coeffs`` on
+    the affinely independent support of ``an``: the directions w where its
+    first positive and its first negative term dominate, so that it takes
+    opposite signs at t^w > 0.  The columns S_j of an.solution sum to
+    D e_0, so primitive(D e_0 - S_j) is the affine function (c, w) with
+    values 1 - e_j: w . (a_i - a_j) = c > 0 for all i != j, and
+    t = 1/N with N = 1 + sum |c_i| makes term j outweigh the rest.
+    Coordinate ``flip``, when given, is negated in both points."""
     X = an.solution
     D = sum(X[0])
-    N = 1 + sum(abs(c) for c in coeffs)
-    powers = {}
-    pair = []
+    ws = []
     for sign in (1, -1):
         j = next(j for j, c in enumerate(coeffs) if c * sign > 0)
-        w = primitive_vector([D - X[0][j]] + [-x[j] for x in X[1:]])[1:]
-        for wk in w:
-            if wk not in powers:
-                powers[wk] = Fraction(1, N**wk) if wk >= 0 else Fraction(N**-wk)
-        point = [powers[wk] for wk in w]
-        if flip is not None:
-            point[flip] = -point[flip]
-        pair.append(tuple(point))
-    return tuple(pair)
+        ws.append(tuple(primitive_vector([D - X[0][j]] + [-x[j] for x in X[1:]])[1:]))
+    return DominantPair(Fraction(1, 1 + sum(abs(c) for c in coeffs)), tuple(ws), flip)
 
 
 def feas_simplex(f: SparsePolynomial, an: SupportAnalysis | None = None) -> FeasibilityReport:

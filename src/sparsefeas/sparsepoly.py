@@ -66,7 +66,7 @@ class SparsePolynomial(FrozenRecord):
 
     @property
     def is_laurent(self) -> bool:
-        return any(e < 0 for t in self.terms for e in t.exponents)
+        return any(min(t.exponents) < 0 for t in self.terms)
 
 
 class PointSet(FrozenRecord):

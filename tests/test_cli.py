@@ -581,27 +581,33 @@ def test_feasibility_imports_only_the_degenerate_point_privately():
 
 @pytest.mark.parametrize("command", [("feas", "--set", "positive"), ("topology",)])
 def test_witness_beyond_int_str_digit_limit(capsys, command):
-    # 5526 is the smallest exponent whose dominant-point coordinates pass
-    # the interpreter's 4300-digit int-to-str guard; the guard is lifted
-    # only while writing the output, and restored afterwards
+    # 1 + y1^3 + 8 y2^3 - 6 y1 y2 is singular at y = (1, 1/2); under
+    # y1 = x1 x2^15000, y2 = x2 that point is x = (2^15000, 1/2), whose
+    # 4516 digits pass the interpreter's 4300-digit int-to-str guard; the
+    # guard is lifted only while writing the output, and restored afterwards
     limit = sys.get_int_max_str_digits()
-    expr = "1 - 3*x1^5526*x2 + x2^5526"
+    expr = "1 + x1^3*x2^45000 + 8*x2^3 - 6*x1*x2^15001"
     code = run([*command, "--expr", expr])
     lines = capsys.readouterr().out.splitlines()
     assert code == 0 and len(lines) == 1
     payload = json.loads(lines[0])
-    if command[0] == "feas":
-        assert payload["verdict"] == "nonempty"
-    else:
-        assert payload["classification"] == "ALL_NONCOMPACT" and "certificate" in payload
+    assert payload["classification"] == "SINGULAR_POINT"
     assert sys.get_int_max_str_digits() == limit
+    point = payload["witness" if command[0] == "feas" else "certificate"]
+    sys.set_int_max_str_digits(0)
+    try:
+        assert point == [str(2**15000), "1/2"] and len(point[0]) > limit
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_cli_answers_match_recorded_hash(capsys):
     # the answer-hash recipe (ROADMAP), cut to its first 200 instances and
     # run through the CLI: parse, topology and feas on every set, then disc
     # where the support's relation has no zero entry; sha256 over each
-    # call's argv, exit code and output, so any changed byte of JSON shows
+    # call's argv, exit code and output, so any changed byte of JSON shows.
+    # Sign-change pairs print as {"t", "w", "flip"}; 228 of the 1174
+    # outputs carry one
     rng = random.Random(24)
     digest, calls = hashlib.sha256(), 0
     for k in range(200):
@@ -621,4 +627,4 @@ def test_cli_answers_match_recorded_hash(capsys):
             digest.update(repr((argv, code, out, err)).encode())
             calls += 1
     assert calls == 1174
-    assert digest.hexdigest()[:16] == "3c3abbda7d96b90c"
+    assert digest.hexdigest()[:16] == "279158a950a009b5"

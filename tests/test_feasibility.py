@@ -14,11 +14,12 @@ import pytest
 from sparsefeas import feasibility, intlattice
 from sparsefeas.cli import run
 from sparsefeas.discriminant import CircuitDiscriminant, degenerate_point
-from sparsefeas.errors import PreconditionError
+from sparsefeas.errors import PreconditionError, ScaleLimitError
 from sparsefeas.feasibility import (
     ALL_NONCOMPACT,
     COMPACT_SPHERE,
     EMPTY,
+    DominantPair,
     FeasibilityReport,
     NONEMPTY_UNCLASSIFIED,
     POINT_MULT_1,
@@ -470,7 +471,7 @@ def test_certificates_match_kernel_rules(capsys):
                 ])
                 flip = lambda x: tuple(-v if c == i else v for c, v in enumerate(x))
                 p, q = _kernel_pair_reference(flipped)
-                assert rep.certificate == (flip(p), flip(q)), str(f)
+                assert tuple(rep.certificate) == (flip(p), flip(q)), str(f)
                 checked["flip"] += 1
                 continue
             else:
@@ -479,11 +480,14 @@ def test_certificates_match_kernel_rules(capsys):
             expected, key = _facet_certificate_reference(f), "facet"
             if expected is None:
                 continue
+        if key == "pair":
+            cert = tuple(cert)
         assert repr(cert) == repr(expected), str(f)
         assert run(["feas", "--set", "positive", "--expr", to_text(f)]) == 0
         witness = json.loads(capsys.readouterr().out)["witness"]
         if key == "pair":
-            expected = [[str(v) for v in x] for x in expected]
+            # the JSON pair is symbolic: it expands to the reference points
+            witness = tuple(DominantPair(Fraction(witness["t"]), tuple(map(tuple, witness["w"])), witness["flip"]))
         assert witness == expected, str(f)
         checked[key] += 1
     assert min(checked.values()) > 50, checked
@@ -547,7 +551,7 @@ def test_sign_change_pair_matches_fraction_powers():
             expected = tuple(tuple(-v if c == i else v for c, v in enumerate(x)) for x in pair)
             seen["flip"] += 1
         # equal normalized Fractions print alike; some pass repr's digit limit
-        assert rep.certificate == expected, str(f)
+        assert tuple(rep.certificate) == expected, str(f)
         assert {type(v) for x in rep.certificate for v in x} == {Fraction}
         N = 1 + sum(map(abs, coeffs))
         values = [abs(v) for x in expected for v in x]
@@ -557,6 +561,73 @@ def test_sign_change_pair_matches_fraction_powers():
         seen["laurent"] += f.is_laurent
     assert sum(seen[key] for key in ("mixed", "flip")) >= 2000, seen
     assert min(seen.values()) > 100, seen
+
+
+def _check_dominant_pair(f, pair):
+    """The sign change of ``pair`` by exponent arithmetic alone: in each
+    direction w one term j has w . (a_i - a_j) >= 1 for all i != j, so at
+    t^w it outweighs the rest when sum_{i != j} |c_i| t < |c_j|, and the
+    two dominant terms, signed as after the flip, differ in sign."""
+    c = [t.coefficient for t in f.terms]
+    signs = []
+    for w in pair.w:
+        weights = [sum(wk * ak for wk, ak in zip(w, t.exponents)) for t in f.terms]
+        j = weights.index(min(weights))
+        assert all(v - weights[j] >= 1 for i, v in enumerate(weights) if i != j), str(f)
+        assert sum(abs(v) for i, v in enumerate(c) if i != j) * pair.t < abs(c[j]), str(f)
+        odd = pair.flip is not None and f.terms[j].exponents[pair.flip] % 2 == 1
+        signs.append((c[j] > 0) != odd)
+    assert signs[0] != signs[1], str(f)
+
+
+@pytest.mark.parametrize("E", [2**64 + 1, 10**30])
+def test_huge_exponent_simplex_is_decided_symbolically(capsys, E):
+    # each pair coordinate would have about E bits; the symbolic pair is
+    # decided and checked within 0.1 s, and prints in under 1 KB
+    f = parse(f"1 - 3*x1^{E}*x2 + x2^{E}")
+    start = time.perf_counter()
+    rep = feas_real_full(f)
+    assert time.perf_counter() - start < 0.1
+    assert (rep.positive_orthant, rep.classification) == ("nonempty", ALL_NONCOMPACT)
+    pair = rep.certificate
+    assert classify_positive(f) == (ALL_NONCOMPACT, pair) and pair.flip is None
+    _check_dominant_pair(f, pair)
+    printed = []
+    for argv, key in ((["feas", "--set", "positive"], "witness"), (["topology"], "certificate")):
+        assert run([*argv, "--expr", to_text(f)]) == 0
+        out = capsys.readouterr().out
+        assert len(out.encode()) < 1024
+        printed.append(json.loads(out)[key])
+    assert printed[0] == printed[1] == {
+        "t": str(pair.t), "w": [list(w) for w in pair.w], "flip": None,
+    }
+
+
+def test_huge_exponent_flip_is_decided_symbolically():
+    # one coefficient sign and the odd difference 2^64 + 1 in x2: the pair
+    # of the polynomial flipped in x2, within 0.1 s
+    E = 2**64 + 1
+    f = parse(f"1 + 3*x1^{E}*x2 + x2^{E}")
+    start = time.perf_counter()
+    rep = feas_real_full(f)
+    assert time.perf_counter() - start < 0.1
+    assert (rep.positive_orthant, rep.nonzero_reals, rep.all_reals) == ("empty", "nonempty", "nonempty")
+    assert rep.certificate.flip == 1
+    _check_dominant_pair(f, rep.certificate)
+
+
+def test_dominant_pair_expansion_is_guarded():
+    # a coordinate is bounded by |w_k| times the bit length of N (here 3
+    # bits, N = 6): below MAX_BITS the pair expands, above it one line
+    # refuses
+    below = feas_simplex(parse("1 - 3*x1^262145*x2 + x2^262145")).certificate
+    p, q = below
+    assert p[1] == Fraction(1, 6**262145) and q == (6, 1)
+    above = feas_simplex(parse("1 - 3*x1^349526*x2 + x2^349526")).certificate
+    for expand in (tuple, lambda pair: pair[1]):
+        with pytest.raises(ScaleLimitError) as err:
+            expand(above)
+        assert str(err.value) == f"a sign-change point would pass {DominantPair.MAX_BITS} bits"
 
 
 def _lower_dimensional_simplex(rng):
@@ -1010,18 +1081,40 @@ def test_real_full_matches_closed_subsets_beyond_strata():
     assert len(seen) == 4 and min(seen.values()) >= 10, seen
 
 
+def _expanded(answer):
+    """``answer`` with each DominantPair in it replaced by its two points,
+    the form every sign-change certificate had before it was symbolic."""
+    if isinstance(answer, DominantPair):
+        return tuple(answer)
+    if isinstance(answer, FeasibilityReport):
+        return FeasibilityReport(*map(_expanded, answer._values()))
+    if isinstance(answer, tuple):
+        return tuple(map(_expanded, answer))
+    if isinstance(answer, dict):
+        return {k: _expanded(v) for k, v in answer.items()}
+    return answer
+
+
 def test_answers_match_recorded_hashes():
     # the answer-hash recipe (ROADMAP), cut to its first 3,000 instances:
     # sha256 over the concatenated reprs, so any changed verdict, class or
-    # certificate shows
+    # certificate shows; the expanded pins are those recorded before the
+    # sign-change pairs were symbolic
     rng = random.Random(24)
-    full, topo = hashlib.sha256(), hashlib.sha256()
+    full, topo, raw = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    pairs = 0
     for k in range(3000):
         f = _random_real_instance(rng, 1 + k % 6)
-        full.update(repr(feas_real_full(f)).encode())
-        topo.update(repr((classify_positive(f), topology_report(f))).encode())
+        rep = feas_real_full(f)
+        answer = (classify_positive(f), topology_report(f))
+        full.update(repr(_expanded(rep)).encode())
+        topo.update(repr(_expanded(answer)).encode())
+        raw.update(repr((rep, answer)).encode())
+        pairs += isinstance(rep.certificate, DominantPair)
     assert full.hexdigest()[:16] == "b2b074d61b5b4ad1"
     assert topo.hexdigest()[:16] == "49e1590aad7d7278"
+    assert raw.hexdigest()[:16] == "9cb669c0f09c362c"
+    assert pairs == 1228
 
 
 @pytest.mark.parametrize("n", [30, 40])

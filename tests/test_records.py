@@ -1,6 +1,6 @@
-"""The contract of the ten frozen value types, all ``errors.FrozenRecord``
-subclasses: what the package and its callers relied on when they were
-frozen dataclasses."""
+"""The contract of the eleven frozen value types, all ``errors.FrozenRecord``
+subclasses: what the package and its callers relied on when ten of them
+were frozen dataclasses, and the eleventh, ``DominantPair``, keeps too."""
 
 from fractions import Fraction
 
@@ -10,7 +10,7 @@ from sparsefeas import geometry
 from sparsefeas.discriminant import CircuitDiscriminant, DegeneratePoint
 from sparsefeas.errors import FrozenRecord, NotACircuitError, PreconditionError
 from sparsefeas.exactsign import GcdFreeBasis
-from sparsefeas.feasibility import FeasibilityReport
+from sparsefeas.feasibility import DominantPair, FeasibilityReport
 from sparsefeas.geometry import SupportAnalysis, analyze_support
 from sparsefeas.reductions import PolySystem, Sat3Formula
 from sparsefeas.sparsepoly import PointSet, SparsePolynomial, Term, parse
@@ -30,6 +30,7 @@ RECORDS = [
         "positive_orthant": "nonempty", "nonzero_reals": None, "all_reals": None,
         "classification": "COMPACT_SPHERE", "certificate": ((1,), (2,)),
     }),
+    (DominantPair, {"t": Fraction(1, 6), "w": ((4, 5), (-1, 0)), "flip": None}),
     (Sat3Formula, {"num_vars": 3, "clauses": ((1, -2, 3),)}),
     (PolySystem, {"polynomials": (parse("x1 - 1"), parse("x1*x2 + 2"))}),
 ]
