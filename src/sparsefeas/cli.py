@@ -22,7 +22,7 @@ from .discriminant import (
     adisc_sign,
     adisc_vanish,
 )
-from .errors import PreconditionError, ScaleLimitError, SparseFeasError
+from .errors import PreconditionError, ScaleLimitError, SparseFeasError, without_digit_limit
 from .feasibility import EMPTY, DominantPair, classify_positive, feas_real_full, topology_report
 from .geometry import analyze_support
 from .sparsepoly import (
@@ -67,16 +67,7 @@ def _required(value, option: str):
 
 
 def _emit(payload) -> None:
-    # witnesses may pass the int-to-str digit guard (Python >= 3.10.7);
-    # it is lifted only while encoding, so that parsing input keeps it
-    limit = getattr(sys, "get_int_max_str_digits", int)()
-    try:
-        if limit:
-            sys.set_int_max_str_digits(0)
-        text = json.dumps(payload, default=_encode)
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+    text = without_digit_limit(lambda: json.dumps(payload, default=_encode))
     sys.stdout.write(text + "\n")
 
 

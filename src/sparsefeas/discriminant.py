@@ -71,14 +71,15 @@ def adisc_vanish(D: CircuitDiscriminant) -> bool:
 
 
 def adisc_sign(D: CircuitDiscriminant) -> int:
-    """Exact sign of the circuit discriminant at the coefficients.  Signs
-    of the two products are peeled off first; magnitudes go to the
-    adaptive-precision comparator."""
+    """Exact sign of the circuit discriminant at the coefficients.  Each
+    product's sign is the parity of its negative bases' exponents; the
+    magnitudes go to the adaptive-precision comparator."""
     left, right, e = _products(D.circuit.relation, D.coefficients)
-    ls, rs = ((-1) ** sum(b < 0 and k % 2 for b, k in zip(bases, e)) for bases in (left, right))
+    ls = -1 if sum([k for b, k in zip(left, e) if b < 0]) % 2 else 1
+    rs = -1 if sum([k for b, k in zip(right, e) if b < 0]) % 2 else 1
     if ls != rs:
         return ls
-    return ls * binomial_sign([abs(b) for b in left], [abs(b) for b in right], e, e)
+    return ls * binomial_sign(list(map(abs, left)), list(map(abs, right)), e, e)
 
 
 class DegeneratePoint(FrozenRecord):

@@ -1,6 +1,8 @@
 """Exception hierarchy shared across the package, and the base of its
 frozen value types."""
 
+import sys
+
 
 class SparseFeasError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -54,6 +56,20 @@ class PrecisionLimitError(SparseFeasError):
         self.gap = gap
 
 
+def without_digit_limit(write):
+    """write(), with Python's int-to-str digit guard (3.10.7+) lifted and
+    then restored: exact witnesses may pass it, and parsing keeps it.  The
+    guard is process-wide, so it is lifted for other threads meanwhile."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if not limit:
+        return write()
+    sys.set_int_max_str_digits(0)
+    try:
+        return write()
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 class FrozenRecord:
     """Base of the package's immutable value types, standing in for
     ``dataclasses.dataclass(frozen=True)``, whose import loads ``inspect``
@@ -66,7 +82,8 @@ class FrozenRecord:
     ``__post_init__`` if the class has one.  As for a frozen dataclass,
     assigning or deleting an attribute raises AttributeError, an instance
     equals only instances of its own class with equal fields, hashes as
-    the tuple of its fields and prints as ``Name(field=value, ...)``; the
+    the tuple of its fields and prints as ``Name(field=value, ...)``, with
+    integers of any length written in full (see without_digit_limit); the
     ``__dict__`` also holds what ``functools.cached_property`` stores.
     """
 
@@ -92,7 +109,9 @@ class FrozenRecord:
         return hash(self._values())
 
     def __repr__(self):
-        fields = ", ".join(f"{f}={self.__dict__[f]!r}" for f in self._fields)
+        fields = without_digit_limit(
+            lambda: ", ".join(f"{f}={self.__dict__[f]!r}" for f in self._fields)
+        )
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):

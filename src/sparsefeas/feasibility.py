@@ -189,13 +189,15 @@ def _circuit_class(m, coeffs):
     relation is ``m`` (zero off their circuit), in their own span of
     dimension d, and the mixed facet complements when step 1 decides it
     (None otherwise)."""
-    # Step 1: the d-term facets A minus {p, q}, m_p > 0 > m_q; a face of
-    # one term (d = 1) never mixes
-    mixed = []
-    for out in facet_complements(m):
-        face = [c for j, c in enumerate(coeffs) if j not in out]
-        if min(face) < 0 < max(face):
-            mixed.append(out)
+    # Step 1: the d-term facets A minus {p, q}, m_p > 0 > m_q, mixed when
+    # a positive and a negative coefficient are left once c_p and c_q are
+    # counted out; a face of one term (d = 1) never mixes
+    pos = len([c for c in coeffs if c > 0])
+    neg = len([c for c in coeffs if c < 0])
+    mixed = [
+        (p, q) for p, q in facet_complements(m)
+        if pos > (coeffs[p] > 0) + (coeffs[q] > 0) and neg > (coeffs[p] < 0) + (coeffs[q] < 0)
+    ]
     if mixed:
         return ALL_NONCOMPACT, mixed
 

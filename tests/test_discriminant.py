@@ -1,5 +1,6 @@
 """Tests for the circuit discriminant and degenerate-point extraction."""
 
+import hashlib
 import math
 import random
 import time
@@ -335,3 +336,67 @@ def test_discriminant_input_guards(text):
         degenerate_point(_disc(parse(text)))
     assert type(info.value) is PreconditionError
     assert str(info.value) == "discriminant does not vanish at these coefficients"
+
+
+DISC_HASH_INSTANCES = 2000
+
+
+def _signed(rng, bits):
+    return rng.choice((-1, 1)) * rng.randint(1, 1 << bits)
+
+
+def _random_disc_instance(rng, k):
+    """The k-th (points, coefficients) of the discriminant answer-hash
+    recipe, shaped like the disc_sign workload: 1-D trinomials with
+    exponents below 2^62, circuits of n + 2 points at n = 2 and 3 with
+    coordinates of 20 to 62 bits (coefficients of 16 bits), near ties
+    b^2 - 4ac of a few units with 40- to 120-bit coefficients, exact ties
+    s (v x - u)^2, and exact ties c = s m on 1-D trinomials, whose
+    products of some 2^68 bits only a gcd-free basis can equate."""
+    kind = k % 6
+    if kind in (0, 5):
+        e0, e1, e2 = sorted(rng.sample(range(1 << 62), 3))
+        points = [(e0,), (e1,), (e2,)]
+        if kind == 5:
+            g, s = math.gcd(e2 - e1, e1 - e0), rng.choice((-1, 1))
+            return points, [s * (e2 - e1) // g, s * (e0 - e2) // g, s * (e1 - e0) // g]
+        return points, [_signed(rng, 16) for _ in points]
+    if kind in (1, 2):
+        n, bits = kind + 1, rng.randint(20, 62)
+        points = [tuple(rng.getrandbits(bits) for _ in range(n)) for _ in range(n + 2)]
+        return points, [_signed(rng, 16) for _ in points]
+    bits = rng.randint(40, 120)
+    if kind == 3:
+        a = rng.getrandbits(bits) | 1 << (bits - 1)
+        c = rng.getrandbits(bits) | 1 << (bits - 1)
+        b = math.isqrt(4 * a * c) + rng.randint(-1, 2)
+        s = rng.choice((-1, 1))
+        return [(0,), (1,), (2,)], [s * c, rng.choice((-1, 1)) * b, s * a]
+    u, v, s = rng.getrandbits(bits) | 1, rng.getrandbits(bits) | 1, _signed(rng, 7)
+    return [(0,), (1,), (2,)], [s * u * u, -2 * s * u * v, s * v * v]
+
+
+def disc_answer_digest(count):
+    """sha256 (first 16 hex digits) of the concatenated repr((sign,
+    vanish)) of the first ``count`` instances of _random_disc_instance
+    from random.Random(34), each through find_circuit and
+    CircuitDiscriminant as ``sparsefeas disc`` builds it; a refused
+    instance contributes its exception's name."""
+    rng = random.Random(34)
+    digest = hashlib.sha256()
+    for k in range(count):
+        points, coeffs = _random_disc_instance(rng, k)
+        try:
+            circuit, idx = find_circuit(PointSet(tuple(points)))
+            D = CircuitDiscriminant(circuit, tuple(coeffs[i] for i in idx))
+            answer = (adisc_sign(D), adisc_vanish(D))
+        except (NotACircuitError, PreconditionError) as exc:
+            answer = type(exc).__name__
+        digest.update(repr(answer).encode())
+    return digest.hexdigest()[:16]
+
+
+def test_disc_answers_match_recorded_hash():
+    # nothing else pins the answers of `disc sign` on big exponents and
+    # near ties; tools/answer_hashes.py prints the same digest
+    assert disc_answer_digest(DISC_HASH_INSTANCES) == "ce29b3117161ddc7"

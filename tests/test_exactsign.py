@@ -564,3 +564,157 @@ def test_exactsign_input_guards(call, message):
     with pytest.raises(PreconditionError) as info:
         call()
     assert type(info.value) is PreconditionError and str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# both entry points against plain expansion, on both sides of the gate
+
+
+def _expanded(bases, exps):
+    return math.prod(b**e for b, e in zip(bases, exps))
+
+
+def _spread(rng, bits, count):
+    """``count`` bases of at most 40 bits, some 1, and exponents, some 0,
+    whose product has about ``bits`` bits (2^6 to 2^16)."""
+    bases = [rng.choice((1, rng.randint(2, 1 << rng.randint(1, 40)))) for _ in range(count)]
+    exps = [rng.choice((0, max(1, bits // (count * max(1, b.bit_length()))))) for b in bases]
+    return bases, exps
+
+
+def _expansion_cases(seed, count, ties):
+    """Seeded product pairs: ``count`` of unrelated sides, equal products
+    written two ways and sides that differ by one small factor ratio
+    (x + 1)/x, then ``ties`` near ties y^k +- 1 against y^k just above
+    the gate (each needs logs of some 8,000 bits)."""
+    rng = random.Random(seed)
+    cases = []
+    for i in range(count + ties):
+        bits = 1 << rng.randint(6, 16)
+        kind = i % 3 if i < count else 3
+        if kind == 0:
+            alphas, us = _spread(rng, bits, rng.randint(1, 4))
+            betas, vs = _spread(rng, bits, len(alphas))
+        elif kind == 1:
+            # x^e y^e z^f against (xy)^e z^f, with a unit base (at times
+            # to the power 2^62) or a zero exponent on the right
+            x, y, z = (rng.randint(2, 1 << 30) for _ in range(3))
+            e, f = max(1, bits // 64), rng.randint(0, 50)
+            alphas, us = [x, y, z], [e, e, f]
+            betas, vs = [x * y, z, 1], [e, f, rng.choice((rng.randint(0, 9), 2**62))]
+            if rng.random() < 0.5:
+                betas[2], vs[2] = rng.randint(2, 99), 0
+        elif kind == 2:
+            common, es = _spread(rng, bits, 2)
+            x = rng.randint(1 << 30, 1 << 40)
+            alphas, us = common + [x + 1], es + [1]
+            betas, vs = common + [x], es + [1]
+        else:
+            y = rng.randint(2, 50)
+            k = math.ceil(rng.randint(4100, 4400) / math.log2(y))
+            alphas, us = [y**k + rng.choice((-1, 1)), 1], [1, rng.randint(0, 5)]
+            betas, vs = [y, rng.randint(2, 9)], [k, 0]
+        if rng.random() < 0.5:
+            alphas, betas, us, vs = betas, alphas, vs, us
+        cases.append((alphas, betas, us, vs))
+    return cases
+
+
+def _bit_bound(bases, exps):
+    return sum(e * abs(b).bit_length() for b, e in zip(bases, exps) if abs(b) > 1)
+
+
+def test_binomial_sign_and_vanish_match_expansion(monkeypatch):
+    logs = _count_log_sign(monkeypatch)
+    seen = set()
+    for alphas, betas, us, vs in _expansion_cases(34, 150, 4):
+        left, right = _expanded(alphas, us), _expanded(betas, vs)
+        truth = (left > right) - (left < right)
+        calls = len(logs)
+        assert binomial_sign(alphas, betas, us, vs) == truth, (alphas, betas, us, vs)
+        # logs exactly when a bound passes the gate; a unit base adds nothing
+        gated = max(_bit_bound(alphas, us), _bit_bound(betas, vs)) > exactsign._EXPAND_BITS
+        assert (len(logs) > calls) == gated, (alphas, betas, us, vs)
+        assert binomial_vanish(alphas, betas, us, vs) == (truth == 0)
+        # vanishing with signed bases: flipping a base flips the product's
+        # sign when its exponent is odd
+        signs = [-1 if k % 3 == 0 else 1 for k in range(len(alphas))]
+        signed = [s * a for s, a in zip(signs, alphas)]
+        assert binomial_vanish(signed, betas, us, vs) == (_expanded(signed, us) == right)
+        big = max(left.bit_length(), right.bit_length())
+        seen.add((truth, big > exactsign._EXPAND_BITS))
+        if abs(left - right) == 1 and big > exactsign._EXPAND_BITS:
+            seen.add("tie by one")
+        if 1 in alphas + betas:
+            seen.add("unit base")
+        if 0 in us + vs:
+            seen.add("zero exponent")
+    assert seen == {
+        (-1, False), (0, False), (1, False), (-1, True), (0, True), (1, True),
+        "tie by one", "unit base", "zero exponent",
+    }
+    # products up to 2^16 bits: the log path ran on those past the gate
+    assert len(logs) > 40
+
+
+@pytest.mark.parametrize("max_bits, bits", [(32, 32), (100, 64), (200, 128)])
+def test_precision_limit_gap_is_the_enclosure_overlap(monkeypatch, max_bits, bits):
+    # the reported gap is exactly min(l_high, r_high) - max(l_low, r_low)
+    # of the two sides' log sums at the last precision tried, at the
+    # finest dyadic scale of their terms (the bases differ in size, so
+    # their scales differ)
+    monkeypatch.setenv("FEWNO_MAX_BITS", str(max_bits))
+    alphas, us = [2**3000 + 1, 3, 1], [5, 1, 7]
+    betas, vs = [2**3000 - 1, 3, 5], [5, 1, 0]
+    with pytest.raises(PrecisionLimitError) as info:
+        binomial_sign(alphas, betas, us, vs)
+    assert info.value.bits == bits
+    # the terms with an exponent and a base other than 1, left then right
+    terms = [(2**3000 + 1, 5), (3, 1), (2**3000 - 1, 5), (3, 1)]
+    logs = [(e, *exactsign._log_fixed(b, bits)) for b, e in terms]
+    scale = max(guard for *_, guard in logs)
+    low = [e * lo << (scale - g) for e, lo, _, g in logs]
+    high = [e * (lo + w) << (scale - g) for e, lo, w, g in logs]
+    l_low, r_low = low[0] + low[1], low[2] + low[3]
+    l_high, r_high = high[0] + high[1], high[2] + high[3]
+    assert len({g for *_, g in logs}) == 2 and max(l_low, r_low) < min(l_high, r_high)
+    assert info.value.gap == Fraction(min(l_high, r_high) - max(l_low, r_low), 1 << scale)
+
+
+def test_unequal_enclosure_widths_never_decide_a_near_tie(monkeypatch):
+    # a^e against a^e - 1: one side's log sum carries e times the width of
+    # one log, the other side's one width.  64-bit logs cannot split them,
+    # so every call raises, whichever side holds the power; reading a
+    # side's bound off the other side's width answers half of them wrongly
+    monkeypatch.setenv("FEWNO_MAX_BITS", "64")
+    rng = random.Random(34)
+    for _ in range(50):
+        a = rng.getrandbits(rng.randint(530, 600)) | 1
+        e = rng.randint(8, 9)
+        for args in (([a], [a**e - 1], [e], [1]), ([a**e - 1], [a], [1], [e])):
+            with pytest.raises(PrecisionLimitError) as info:
+                binomial_sign(*args)
+            assert info.value.bits == 64
+
+
+@pytest.mark.parametrize("entry", ["sign", "vanish"])
+def test_malformed_products_raise_in_order(entry):
+    # each input below breaks every check after the one it names, so the
+    # message pins the order: lengths, emptiness, exponents, 0^0, bases
+    call = binomial_sign if entry == "sign" else binomial_vanish
+    cases = [
+        (([0, 2], [3], [0, -1], [1]), "product description lists must share a length"),
+        (([], [], [], []), "empty product description"),
+        (([0, 2], [3, 3], [0, -1], [1, 1]), "exponents must be natural numbers"),
+        (([0, 2], [3, 3], [0, 1], [1, 1]), "0^0 term is not defined"),
+        (([3, 3], [0, 2], [1, 1], [0, 1]), "0^0 term is not defined"),
+    ]
+    if entry == "sign":
+        cases += [
+            (([0, 2], [3, 3], [1, 1], [1, 1]), "binomial_sign requires bases >= 1"),
+            (([2], [-3], [1], [1]), "binomial_sign requires bases >= 1"),
+        ]
+    for args, message in cases:
+        with pytest.raises(PreconditionError) as info:
+            call(*args)
+        assert type(info.value) is PreconditionError and str(info.value) == message, args

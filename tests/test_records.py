@@ -2,6 +2,7 @@
 subclasses: what the package and its callers relied on when ten of them
 were frozen dataclasses, and the eleventh, ``DominantPair``, keeps too."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from sparsefeas import geometry
 from sparsefeas.discriminant import CircuitDiscriminant, DegeneratePoint
 from sparsefeas.errors import FrozenRecord, NotACircuitError, PreconditionError
 from sparsefeas.exactsign import GcdFreeBasis
-from sparsefeas.feasibility import DominantPair, FeasibilityReport
+from sparsefeas.feasibility import DominantPair, FeasibilityReport, feas_real_full
 from sparsefeas.geometry import SupportAnalysis, analyze_support
 from sparsefeas.reductions import PolySystem, Sat3Formula
 from sparsefeas.sparsepoly import PointSet, SparsePolynomial, Term, parse
@@ -104,3 +105,28 @@ def test_post_init_guards_still_raise(build, error, match):
     with pytest.raises(error, match=match):
         build()
 
+
+
+def test_repr_writes_integers_past_the_digit_guard():
+    # the singular point (2^15000, 1/2) of 1 + y1^3 + 8 y2^3 - 6 y1 y2 under
+    # y1 = x1 x2^15000, y2 = x2 has a 4516-digit coordinate, past the
+    # interpreter's 4300-digit int-to-str guard; repr lifts the guard only
+    # while it writes, and restores it
+    limit = sys.get_int_max_str_digits()
+    assert 0 < limit < 4516
+    rep = feas_real_full(parse("1 + x1^3*x2^45000 + 8*x2^3 - 6*x1*x2^15001"))
+    text = repr(rep)
+    assert sys.get_int_max_str_digits() == limit
+    assert rep.classification == "SINGULAR_POINT"
+    assert text.startswith("FeasibilityReport(positive_orthant='nonempty', ")
+    sys.set_int_max_str_digits(0)
+    try:
+        assert repr(2**15000) in text and len(repr(2**15000)) > limit
+    finally:
+        sys.set_int_max_str_digits(limit)
+    # a guard already lifted stays lifted
+    sys.set_int_max_str_digits(0)
+    try:
+        assert repr(rep) == text and sys.get_int_max_str_digits() == 0
+    finally:
+        sys.set_int_max_str_digits(limit)

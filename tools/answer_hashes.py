@@ -13,6 +13,11 @@ the reprs with each pair expanded into its two points, the form recorded
 before the pairs were symbolic.  A change that keeps every verdict, class
 and certificate keeps both hashes; the test suite pins the same recipe cut
 to its first 3,000 instances.
+
+A third line hashes adisc_sign and adisc_vanish over the discriminant
+recipe of tests/test_discriminant.py (disc_answer_digest: 1-D trinomials
+with exponents below 2^62, circuits at n = 2 and 3, near and exact ties),
+the same instances whose digest that test pins.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from sparsefeas import feas_real_full  # noqa: E402
+from test_discriminant import DISC_HASH_INSTANCES, disc_answer_digest  # noqa: E402
 from test_feasibility import _expanded, _random_real_instance  # noqa: E402
 
 INSTANCES = 30_000
@@ -40,6 +46,8 @@ def main() -> None:
         expanded.update(repr(_expanded(rep)).encode())
     print(f"feas_real_full over {INSTANCES} instances: {raw.hexdigest()[:16]}")
     print(f"the same, sign-change pairs expanded: {expanded.hexdigest()[:16]}")
+    digest = disc_answer_digest(DISC_HASH_INSTANCES)
+    print(f"adisc_sign and adisc_vanish over {DISC_HASH_INSTANCES} discriminant instances: {digest}")
 
 
 if __name__ == "__main__":
